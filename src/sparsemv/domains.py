@@ -143,8 +143,10 @@ def emit_cell_csv(domain: SparseDomain, path, budget: int = DEFAULT_CELL_BUDGET)
         + [f"center_{j + 1}" for j in range(k)]
         + [f"halfwidth_{j + 1}" for j in range(k)]
     )
+    from .csvio import _open_overwrite  # deferred: csvio imports this module
+
     rows = 0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_overwrite(path) as fh:
         fh.write(
             "# domain cells: p=%d K=%d sigma=%s degrees=%s\n"
             % (

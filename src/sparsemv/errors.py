@@ -10,9 +10,12 @@ class UnsupportedPrimeError(InvalidInputError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured budget."""
+    """Raised when an enumeration would exceed the configured budget.
 
-    def __init__(self, message: str, requested: int, budget: int):
+    ``budget`` is None when the limit was the memory the machine could give.
+    """
+
+    def __init__(self, message: str, requested: int, budget: int | None = None):
         super().__init__(message)
         self.requested = requested
         self.budget = budget

@@ -7,9 +7,13 @@ with M_j = N^(deg_j - sigma_j),
             sum_{0 <= iota_j < M_j} | sum_n a_n e(sum_j iota_j P_j(n) / M_j) |^r,
 
 and already includes the N^(sum sigma_j) normalization of the defining
-inequality.  Inner phases are accumulated exactly in Q/Z (integer numerators
-against a common p-power modulus); floating point enters per term only at the
-final root-of-unity lookup.
+inequality.  The residues P_j(n) mod M_j are reduced exactly with Python
+integers and the coefficients scattered into the phase histogram
+H[h] = sum {a_n : P(n) = h mod M}; one unnormalised inverse FFT of H gives the
+inner sum at every cell, so floating point enters only in the transform and
+in the final reduction.  Sums with quadrature offsets (below) are evaluated
+directly instead: integer phase numerators against a common modulus, with
+floating point entering once per term at the root-of-unity lookup.
 
 The real sparse mean value integrates |sum_n a_n e(x . P(n))|^r over the
 union of cells.  Substituting x = center + v turns each cell integral into an
@@ -33,6 +37,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,11 +62,11 @@ from .quadrature import (
 
 SAMPLER_NAMES = ("all-ones", "single-point", "random-phase", "random-sparse")
 
-#: Work chunk target (iota rows x offset columns) for the grid evaluators.
+#: Work chunk target (iota rows x offset columns) for the direct evaluator.
 _CHUNK_CELLS = 1 << 21
 
 #: Above this bound on k * modulus^2 the phase numerators could overflow
-#: int64, so the grid evaluator falls back to Python integers.
+#: int64, so the direct evaluator falls back to Python integers.
 _INT64_PHASE_LIMIT = 2**62
 
 
@@ -251,11 +256,15 @@ def _run_chunks(
 
 
 class _GridSum:
-    """Shared evaluator for exact-phase grid sums S(iota, v).
+    """Exact-phase grid sums S(iota, v) over the mixed-radix grid prod Z/M_j.
 
-    The grid is the mixed-radix product of per-axis moduli; phases are
-    integer numerators against per-axis denominators, combined on a common
-    modulus when the moduli are compatible p-powers.
+    Without offsets, S(iota) = sum_n a_n e(sum_j iota_j P_j(n) / M_j) is the
+    unnormalised inverse DFT of the phase histogram
+    H[h] = sum {a_n : P(n) = h mod M}, so one scatter and one inverse FFT give
+    every cell in O(T log T + #points), T = prod M_j.  With quadrature offsets
+    the sums are evaluated directly from integer phase numerators on a common
+    modulus; with a single unit offset that path is the reference the
+    transform is tested against.
     """
 
     def __init__(
@@ -271,55 +280,61 @@ class _GridSum:
         self.phase_vals = _phase_values(system, coeffs.domain)
         self.base = coeffs.values()
         self.k = len(self.moduli)
-        common = 1
-        for m in self.moduli:
-            common = common * m // math.gcd(common, m)
-        self.common = common
-        self.table = root_table(common)
-        # residue multipliers: phase numerator of point n on axis j, already
-        # lifted to the common denominator
+
+    def _transform_power_sum(self, r: float) -> float:
+        """sum over iota of |S(iota)|^r from one histogram and one inverse FFT."""
+        residues = tuple(
+            np.array([v % m for v in vals], dtype=np.intp)
+            for vals, m in zip(self.phase_vals, self.moduli)
+        )
+        try:
+            S = np.zeros(self.moduli, dtype=np.complex128)
+            np.add.at(S, residues, self.base)
+            # norm="forward" leaves the inverse transform unscaled: S = T ifftn(H)
+            np.fft.ifftn(S, norm="forward", out=S)
+            parts = S.view(np.float64)  # re, im interleaved
+            parts *= parts
+            a2 = parts[..., 0::2] + parts[..., 1::2]
+            del S, parts
+            power = modulus_power(a2, r)
+            del a2
+            return float(tree_sum(power))
+        except MemoryError:
+            # peak: the complex transform array plus the float |S|^2 array
+            needed = 24 * self.total
+            raise BudgetExceededError(
+                f"grid transform over {self.total} cells needs about {needed} "
+                "bytes, more than the machine could allocate",
+                requested=needed,
+            ) from None
+
+    @cached_property
+    def _phase_tables(self) -> tuple[int, type, list[np.ndarray], np.ndarray]:
+        """Common modulus, numerator dtype, per-point numerators, root table."""
+        common = math.lcm(*self.moduli)
         dtype = object if self.k * common * common >= _INT64_PHASE_LIMIT else np.int64
-        self.dtype = dtype
-        self.mult = [
-            np.array(
-                [(pv % m) * (common // m) for pv in self.phase_vals[j]],
-                dtype=dtype,
-            )
-            for j, m in enumerate(self.moduli)
+        mult = [
+            np.array([(pv % m) * (common // m) for pv in vals], dtype=dtype)
+            for vals, m in zip(self.phase_vals, self.moduli)
         ]
-        strides = []
-        acc = 1
-        for m in reversed(self.moduli):
-            strides.append(acc)
-            acc *= m
-        self.strides = list(reversed(strides))
+        return common, dtype, mult, root_table(common)
 
-    def _iota_columns(self, lo: int, hi: int) -> list[np.ndarray]:
-        f = np.arange(lo, hi, dtype=self.dtype if self.dtype is object else np.int64)
-        if self.dtype is object:
-            f = f.astype(object)
-        return [(f // self.strides[j]) % self.moduli[j] for j in range(self.k)]
-
-    def _inner_sums(self, lo: int, hi: int, offset_factors: np.ndarray | None) -> np.ndarray:
-        """S over the iota chunk: shape (hi-lo,) or (hi-lo, V)."""
-        cols = self._iota_columns(lo, hi)
-        npts = len(self.base)
-        if offset_factors is None:
-            S = np.zeros(hi - lo, dtype=np.complex128)
-        else:
-            S = np.zeros((hi - lo, offset_factors.shape[0]), dtype=np.complex128)
-        for n in range(npts):
-            t = cols[0] * self.mult[0][n]
+    def _inner_sums(self, lo: int, hi: int, offset_factors: np.ndarray) -> np.ndarray:
+        """S over the iota chunk for every offset: shape (hi-lo, V)."""
+        common, dtype, mult, table = self._phase_tables
+        cols = [
+            c.astype(dtype, copy=False)
+            for c in np.unravel_index(np.arange(lo, hi), self.moduli)
+        ]
+        S = np.zeros((hi - lo, offset_factors.shape[0]), dtype=np.complex128)
+        for n in range(len(self.base)):
+            t = cols[0] * mult[0][n]
             for j in range(1, self.k):
-                t = t + cols[j] * self.mult[j][n]
-            t = t % self.common
-            if self.dtype is object:
+                t = t + cols[j] * mult[j][n]
+            t = t % common
+            if dtype is object:
                 t = t.astype(np.int64)
-            roots = self.table[t]
-            if offset_factors is None:
-                S += self.base[n] * roots
-            else:
-                S += (self.base[n] * roots)[:, None] * offset_factors[:, n][None, :]
+            S += (self.base[n] * table[t])[:, None] * offset_factors[:, n][None, :]
         return S
 
     def weighted_power_sum(
@@ -327,8 +342,9 @@ class _GridSum:
         weights: np.ndarray | None = None,
     ) -> float:
         """sum over iota (and offsets, weighted) of |S|^r, deterministically."""
-        width = 1 if offset_factors is None else offset_factors.shape[0]
-        chunk = max(1, _CHUNK_CELLS // width)
+        if offset_factors is None:
+            return self._transform_power_sum(r)
+        chunk = max(1, _CHUNK_CELLS // offset_factors.shape[0])
 
         def worker(lo: int, hi: int) -> float:
             S = self._inner_sums(lo, hi, offset_factors)
@@ -516,8 +532,9 @@ def _real_exact_grid(
 
     |f|^r is a trig polynomial with axis-j frequencies bounded by
     (r/2)(max P_j - min P_j); averaging over a strictly finer integer grid is
-    the exact integral, and every sample phase is rational, so the whole
-    computation runs through the exact-phase machinery.
+    the exact integral, and every sample phase is rational, so the sum is the
+    same histogram-and-inverse-FFT grid sum as the p-adic value, with moduli
+    (r/2)(max P_j - min P_j) + 1.
     """
     if any(s != 0 for s in sigma.sigma):
         raise InvalidInputError("exact grid integration requires sigma = 0")
@@ -536,7 +553,7 @@ def _real_exact_grid(
     grid = _GridSum(system, coeffs, moduli, threads=threads)
     power_sum = grid.weighted_power_sum(r)
     value = power_sum / size
-    # rounding-level estimate: compensated sums leave a few ulps per sample
+    # rounding-level estimate: the transform leaves O(log T) ulps per sample
     err = abs(value) * 4e-15 * math.log2(size + 2)
     return value, err
 

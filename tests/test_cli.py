@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sparsemv.cli import main, parse_rational_list
@@ -95,6 +96,23 @@ def test_domain_cells_and_budget(tmp_path, capsys):
     assert code == 3
     assert "budget" in err
 
+
+
+def test_out_of_memory_in_grid_transform_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.fft, "ifftn", out_of_memory)
+    code, out, err = run(
+        ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+         "--out", str(tmp_path / "mv.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "27 cells" in lines[0] and "bytes" in lines[0]
 
 def test_sigma_not_integral_exit_1(capsys):
     code, _, err = run(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,23 @@ def test_render_csv_shape():
     assert lines[1] == "a,b"
     assert lines[2] == "1,0.5"
     assert lines[3] == "2,1/3"
+
+
+def test_write_csv_over_longer_file_leaves_exactly_new_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"stale,row\n" * 100)
+    header, rows, config = ["a", "b"], [[1, 0.5]], {"cmd": "x"}
+    write_csv(path, header, rows, config)
+    assert path.read_bytes() == render_csv(header, rows, config).encode("utf-8")
+
+
+def test_write_csv_to_pipe():
+    # a pipe cannot be truncated; the write must still succeed
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd, "rb") as reader, os.fdopen(write_fd, "wb") as writer:
+        write_csv(f"/dev/fd/{write_fd}", ["a"], [[1]], {"cmd": "x"})
+        writer.close()
+        assert reader.read() == b"# config: cmd=x\na\n1\n"
 
 
 def test_write_and_load_coefficients(tmp_path):

@@ -140,6 +140,16 @@ def test_emit_cell_csv(tmp_path):
     assert "1/3" in lines[2 + 5]
 
 
+def test_emit_cell_csv_over_longer_file(tmp_path):
+    dom = _domain(3, 1, (1, 2), (0, 1))
+    fresh = tmp_path / "fresh.csv"
+    emit_cell_csv(dom, fresh)
+    path = tmp_path / "cells.csv"
+    path.write_bytes(b"x" * (3 * fresh.stat().st_size))
+    emit_cell_csv(dom, path)
+    assert path.read_bytes() == fresh.read_bytes()
+
+
 def test_emit_single_cell(tmp_path):
     dom = _domain(5, 1, (2,), (2,))
     path = tmp_path / "one.csv"

@@ -22,14 +22,21 @@ from sparsemv.meanvalue import (
     sample_coefficients,
     transfer_check,
 )
-from sparsemv.meanvalue import _real_gauss  # internal, exercised on purpose
+from sparsemv.meanvalue import _GridSum, _real_gauss  # internal, exercised on purpose
 from sparsemv.domains import build_domain
-from sparsemv.numberfield import moment_curve, parabola_system
+from sparsemv.numberfield import (
+    MinimalPolynomial,
+    expand_trace_phase,
+    moment_curve,
+    parabola_system,
+)
 from sparsemv.padic import ScaleSpec
 from sparsemv.quadrature import QuadratureConfig
 
 PARABOLA = parabola_system()
 MOMENT3 = moment_curve(3)
+GAUSSIAN = expand_trace_phase(MinimalPolynomial.parse("1,0"), 2)  # Q(i), k = 2
+CUBE_ROOT_2 = expand_trace_phase(MinimalPolynomial.parse("-2,0,0"), 2)  # Q(2^(1/3))
 
 
 def _sigma(*vals):
@@ -189,6 +196,64 @@ def test_padic_budget():
     coeffs = CoefficientVector.ones(IndexDomain.box(9, 1))
     with pytest.raises(BudgetExceededError):
         padic_short_mv(PARABOLA, coeffs, 2.0, scale, _sigma(0, 0), budget=100)
+
+
+# --- transform path against the direct evaluator and mpmath ------------------
+
+def _direct_power_sum(grid, r):
+    """The direct evaluator with one unit offset of unit weight."""
+    return grid.weighted_power_sum(r, np.ones((1, len(grid.base))), np.ones(1))
+
+
+@pytest.mark.parametrize("system, p, K, sig", [
+    (PARABOLA, 3, 2, (0, 0)),
+    (PARABOLA, 3, 2, (0, 1)),
+    (MOMENT3, 3, 1, (0, 0, 0)),
+    (MOMENT3, 3, 2, (0, 1, 2)),
+    (GAUSSIAN, 5, 1, (0, 0, 0, 0)),
+    (GAUSSIAN, 5, 1, (0, 0, 1, 1)),
+    (CUBE_ROOT_2, 3, 1, (0, 0, 0, 0, 0, 0)),
+    (CUBE_ROOT_2, 3, 1, (0, 0, 0, 1, 1, 1)),
+])
+@pytest.mark.parametrize("r", [3.0, 4.0, 5.0])
+def test_padic_transform_matches_direct_evaluator(system, p, K, sig, r):
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        "random-phase", IndexDomain.box(scale.N, system.dimension), seed=31
+    )
+    cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
+    grid = _GridSum(system, coeffs, cells)
+    assert grid.weighted_power_sum(r) == pytest.approx(
+        _direct_power_sum(grid, r), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("system, p, K", [
+    (PARABOLA, 3, 2), (MOMENT3, 3, 1), (GAUSSIAN, 3, 1), (CUBE_ROOT_2, 2, 1),
+])
+def test_real_exact_grid_transform_matches_direct_evaluator(system, p, K):
+    r = 4
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        "random-phase", IndexDomain.box(scale.N, system.dimension), seed=37
+    )
+    sig = _sigma(*([0] * len(system.components)))
+    report = real_sparse_mv(system, coeffs, float(r), scale, sig,
+                            QuadratureConfig(mode="grid"))
+    phase_rows = [[c.evaluate(pt) for pt in coeffs.domain.points]
+                  for c in system.components]
+    moduli = [(r // 2) * (max(row) - min(row)) + 1 for row in phase_rows]
+    direct = _direct_power_sum(_GridSum(system, coeffs, moduli), r) / math.prod(moduli)
+    assert report.value == pytest.approx(direct, rel=1e-12)
+
+
+def test_padic_transform_matches_mpmath_number_field_localized():
+    scale = ScaleSpec(p=3, K=1)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 2), seed=41)
+    sig = _sigma(0, 0, 1, 1)
+    fast = padic_short_mv(GAUSSIAN, coeffs, 5.0, scale, sig)
+    slow = padic_short_mv(GAUSSIAN, coeffs, 5.0, scale, sig, precision=80)
+    assert fast.value == pytest.approx(slow.value, rel=1e-12)
 
 
 # --- modulation ---------------------------------------------------------------
@@ -469,15 +534,16 @@ def test_index_domain_validation():
 
 
 def test_object_dtype_fallback_matches_int64(monkeypatch):
-    # forcing the big-integer phase path must not change any value
+    # forcing the big-integer phase path of the direct (offset) evaluator
+    # must not change any value
     import sparsemv.meanvalue as mv
 
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=2)
-    fast = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0)).value
+    fast = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
     monkeypatch.setattr(mv, "_INT64_PHASE_LIMIT", 1)
-    slow = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0)).value
+    slow = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
     assert slow == fast
 
 
