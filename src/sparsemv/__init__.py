@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`sparsemv.exact` — exact phases mod 1, unit roots, deterministic
-  compensated accumulation.
+- :mod:`sparsemv.exact` — exact phases mod 1, unit roots, exact
+  order-independent summation.
 - :mod:`sparsemv.numberfield` — minimal polynomials, power traces, and the
   trace-expanded phase systems.
 - :mod:`sparsemv.padic` — scales N = p**K, the standard additive character,

@@ -95,6 +95,12 @@ def _config_callback(ctx: click.Context, param, value):
     return value
 
 
+def _threads_callback(ctx: click.Context, param, value):
+    if value < 1:
+        raise InvalidInputError(f"--threads must be >= 1, got {value}")
+    return value
+
+
 def common_options(fn):
     fn = click.option(
         "--config", callback=_config_callback, is_eager=True, expose_value=False,
@@ -103,6 +109,7 @@ def common_options(fn):
     fn = click.option("--out", type=click.Path(), default=None,
                       help="output CSV path (default: $SPARSEMV_OUT/<command>.csv)")(fn)
     fn = click.option("--threads", type=int, default=1, show_default=True,
+                      callback=_threads_callback,
                       help="worker thread cap; results do not depend on it")(fn)
     return fn
 

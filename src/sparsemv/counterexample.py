@@ -49,8 +49,10 @@ class CounterexampleFamily:
     r: float
 
     def __post_init__(self):
-        if self.r < 2:
-            raise InvalidInputError("exponent r must be >= 2")
+        if not (math.isfinite(self.r) and self.r >= 2):
+            raise InvalidInputError(
+                f"exponent r must be a finite number >= 2, got {self.r}"
+            )
         if self.xi.p != self.scale.p or self.xi.K != 2 * self.scale.K:
             raise InvalidInputError("xi must be a root modulo p^(2k)")
 

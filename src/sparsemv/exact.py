@@ -1,9 +1,11 @@
-"""Exact phase arithmetic and reproducible complex accumulation.
+"""Exact phase arithmetic and exact, order-independent summation.
 
 Phases are tracked as exact rationals modulo 1; floating point enters only
-when a phase is finally turned into a point on the unit circle.  All large
-reductions go through a fixed-shape compensated tree so that results do not
-depend on how work was chunked or parallelised.
+when a phase is finally turned into a point on the unit circle.  Every large
+reduction splits its terms by error-free extraction into a few partial sums
+that numpy forms without rounding, then rounds them once with math.fsum, so
+each total is the correctly rounded sum of its terms and does not depend on
+their order or on how the work was chunked or parallelised.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ from typing import Iterable, Union
 import numpy as np
 
 RationalLike = Union[int, Fraction, "PhaseFraction"]
-
-#: Chunk width of the deterministic reduction tree.  Fixed so that results
-#: are bit-identical regardless of thread count.
-CHUNK = 1024
 
 #: Default number of mantissa bits of the working precision.
 DEFAULT_PRECISION = 53
@@ -120,70 +118,89 @@ def root_table(modulus: int) -> np.ndarray:
     return np.exp(2j * np.pi * (t / modulus))
 
 
-def _neumaier_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Sequential compensated accumulation along axis 1, vectorised over rows.
-    s = mat[:, 0].astype(np.float64, copy=True)
-    comp = np.zeros_like(s)
-    for i in range(1, mat.shape[1]):
-        x = mat[:, i]
-        t = s + x
-        big = np.abs(s) >= np.abs(x)
-        comp += np.where(big, (s - t) + x, (x - t) + s)
-        s = t
-    return s, comp
+def _extract(x: np.ndarray) -> np.ndarray:
+    """Exact partial sums of a 1-d or 2-d x along axis 0, as rows; consumes x.
+
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008): for n terms take
+    sigma = 2^ceil(log2(n+2)) 2^e with 2^e > max|x|.  Then q = (sigma + x) -
+    sigma and x - q are exact, and every sum of the n values q is a multiple
+    of 2^-53 sigma below sigma, which numpy forms without rounding in any
+    order.  Rounds repeat on the remainder until it is zero.  A column whose
+    maximum is not finite, or too large for a finite sigma, yields its terms.
+    """
+    rows = [np.zeros((0,) + x.shape[1:])]
+    if len(x):
+        log_m = (len(x) + 1).bit_length()
+        mu = np.maximum(x.max(axis=0), -x.min(axis=0))
+        whole = ~(mu < 2.0 ** (1023 - log_m))  # not finite, or sigma would not be
+        if whole.any():
+            rows.append(np.where(whole, x, 0.0))
+            np.copyto(x, 0.0, where=whole)
+            mu = np.where(whole, 0.0, mu)
+        q = np.empty_like(x)
+        while mu.any():
+            sigma = np.ldexp(1.0, np.frexp(mu)[1] + log_m)
+            np.add(x, sigma, out=q)
+            q -= sigma
+            x -= q
+            rows.append(q.sum(axis=0))
+            mu = np.maximum(x.max(axis=0), -x.min(axis=0))
+    return np.concatenate([np.reshape(row, (-1,) + x.shape[1:]) for row in rows])
 
 
-def _neumaier_sequence(values: np.ndarray) -> float:
-    s = 0.0
-    comp = 0.0
-    for x in values:
-        x = float(x)
-        t = s + x
-        if abs(s) >= abs(x):
-            comp += (s - t) + x
-        else:
-            comp += (x - t) + s
-        s = t
-    return s + comp
+def _fsum(terms: list[float]) -> float:
+    """math.fsum, with np.sum's value for non-finite terms and none of fsum's
+    overflow errors when only a partial sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum out of range, or inf - inf
+        special = [t for t in terms if not math.isfinite(t)]
+        if special:
+            return sum(special)
+        scale = 1 << 1074  # every finite double is a multiple of 2^-1074
+        total = sum(n * (scale // d) for n, d in map(float.as_integer_ratio, terms))
+        try:
+            return total / scale  # correctly rounded
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
 
-def _tree_sum_real(flat: np.ndarray) -> float:
-    if flat.size == 0:
-        return 0.0
-    pad = (-flat.size) % CHUNK
-    if pad:
-        flat = np.concatenate([flat, np.zeros(pad, dtype=np.float64)])
-    mat = flat.reshape(-1, CHUNK)
-    s, comp = _neumaier_columns(mat)
-    return _neumaier_sequence(np.concatenate([s, comp]))
+def exact_partials(values: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Rows whose exact sum along axis 0 is the exact sum of real ``values``.
+
+    ``axis=None`` sums all of ``values``; ``axis=0`` sums each column of a
+    2-d array.  The rows of several chunks of the same terms may be
+    concatenated before :func:`fsum_rows` rounds them once.
+    """
+    x = np.array(values, dtype=np.float64)
+    return _extract(x.ravel() if axis is None else x)
+
+
+def fsum_rows(rows: np.ndarray) -> float | np.ndarray:
+    """math.fsum down 1-d rows, or down each column of 2-d rows."""
+    if rows.ndim == 1:
+        return _fsum(rows.tolist())
+    return np.array([_fsum(col) for col in rows.T.tolist()])
+
+
+def _total(values: np.ndarray) -> float:
+    return _fsum(_extract(np.array(values, dtype=np.float64).ravel()).tolist())
 
 
 def tree_sum(values: np.ndarray | Iterable) -> complex | float:
-    """Deterministic compensated sum of an array.
+    """The correctly rounded sum of an array: math.fsum's value, bit for bit.
 
-    Elements are consumed in C order, accumulated with Neumaier compensation
-    inside fixed chunks of :data:`CHUNK`, and the chunk totals are combined
-    sequentially.  The result is therefore independent of any parallel
-    partitioning of the same chunk structure.
+    It depends neither on the order of the elements nor on any chunking or
+    parallel partitioning of them.  Complex input is summed part by part.
     """
-    arr = np.asarray(values)
-    if arr.size == 0:
-        return 0j if np.iscomplexobj(arr) else 0.0
-    flat = arr.ravel(order="C")
-    if np.iscomplexobj(flat):
-        return complex(
-            _tree_sum_real(flat.real.astype(np.float64)),
-            _tree_sum_real(flat.imag.astype(np.float64)),
-        )
-    return _tree_sum_real(flat.astype(np.float64))
+    arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
+    if np.iscomplexobj(arr):
+        return complex(_total(arr.real), _total(arr.imag))
+    return _total(arr)
 
 
-def compensated_sum(values: Iterable) -> complex:
-    """Compensated sum of a finite sequence of complex values."""
-    arr = np.fromiter((complex(v) for v in values), dtype=np.complex128, count=-1)
-    if arr.size == 0:
-        return 0j
-    return complex(tree_sum(arr))
+compensated_sum = tree_sum
 
 
 def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:

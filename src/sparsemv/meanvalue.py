@@ -50,7 +50,14 @@ from .domains import (
     build_domain,
 )
 from .errors import BudgetExceededError, InvalidInputError
-from .exact import modulus_power, root_table, tree_sum, unit_root
+from .exact import (
+    exact_partials,
+    fsum_rows,
+    modulus_power,
+    root_table,
+    tree_sum,
+    unit_root,
+)
 from .numberfield import PhaseSystem
 from .padic import ScaleSpec
 from .quadrature import (
@@ -238,23 +245,6 @@ def modulate_coefficients(
     return CoefficientVector(coeffs.domain, coeffs.amplitude, tuple(shifts))
 
 
-def _chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-
-
-def _run_chunks(
-    ranges: list[tuple[int, int]],
-    worker: Callable[[int, int], object],
-    threads: int,
-) -> list[object]:
-    """Evaluate chunk partials, in parallel if asked, combined in chunk order."""
-    if threads <= 1 or len(ranges) <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        return [f.result() for f in futures]
-
-
 class _GridSum:
     """Exact-phase grid sums S(iota, v) over the mixed-radix grid prod Z/M_j.
 
@@ -273,11 +263,16 @@ class _GridSum:
         coeffs: CoefficientVector,
         moduli: Sequence[int],
         threads: int = 1,
+        phase_vals: list[list[int]] | None = None,
     ):
+        if threads < 1:
+            raise InvalidInputError(f"threads must be >= 1, got {threads}")
         self.moduli = tuple(int(m) for m in moduli)
         self.total = math.prod(self.moduli)
         self.threads = threads
-        self.phase_vals = _phase_values(system, coeffs.domain)
+        if phase_vals is None:
+            phase_vals = _phase_values(system, coeffs.domain)
+        self.phase_vals = phase_vals
         self.base = coeffs.values()
         self.k = len(self.moduli)
 
@@ -298,7 +293,7 @@ class _GridSum:
             del S, parts
             power = modulus_power(a2, r)
             del a2
-            return float(tree_sum(power))
+            return tree_sum(power)
         except MemoryError:
             # peak: the complex transform array plus the float |S|^2 array
             needed = 24 * self.total
@@ -337,49 +332,46 @@ class _GridSum:
             S += (self.base[n] * table[t])[:, None] * offset_factors[:, n][None, :]
         return S
 
+    def _offset_power_sum(
+        self, r: float, offset_factors: np.ndarray,
+        partials: Callable[[np.ndarray], np.ndarray],
+    ) -> float | np.ndarray:
+        """Round once the exact partials(|S|^r) of every iota chunk.
+
+        The rounded value depends on neither the chunk size nor the thread
+        count, because the partials of each chunk are exact.
+        """
+        chunk = max(1, _CHUNK_CELLS // offset_factors.shape[0])
+        bounds = [(lo, min(lo + chunk, self.total)) for lo in range(0, self.total, chunk)]
+
+        def run(lo_hi: tuple[int, int]) -> np.ndarray:
+            S = self._inner_sums(*lo_hi, offset_factors)
+            return partials(modulus_power(S.real**2 + S.imag**2, r))
+
+        if self.threads == 1 or len(bounds) == 1:
+            rows = list(map(run, bounds))
+        else:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                rows = list(pool.map(run, bounds))
+        return fsum_rows(np.concatenate(rows))
+
     def weighted_power_sum(
         self, r: float, offset_factors: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> float:
-        """sum over iota (and offsets, weighted) of |S|^r, deterministically."""
+        """sum over iota (and offsets, weighted) of |S|^r, correctly rounded."""
         if offset_factors is None:
             return self._transform_power_sum(r)
-        chunk = max(1, _CHUNK_CELLS // offset_factors.shape[0])
-
-        def worker(lo: int, hi: int) -> float:
-            S = self._inner_sums(lo, hi, offset_factors)
-            a2 = S.real**2 + S.imag**2
-            pw = modulus_power(a2, r)
-            if weights is not None:
-                pw = pw * weights[None, :]
-            return float(tree_sum(pw))
-
-        partials = _run_chunks(_chunk_ranges(self.total, chunk), worker, self.threads)
-        return float(tree_sum(np.asarray(partials, dtype=np.float64)))
+        return self._offset_power_sum(
+            r, offset_factors,
+            lambda pw: exact_partials(pw if weights is None else pw * weights),
+        )
 
     def per_offset_power_sum(self, r: float, offset_factors: np.ndarray) -> np.ndarray:
-        """For each offset v: sum over iota of |S(iota, v)|^r."""
-        width = offset_factors.shape[0]
-        chunk = max(1, _CHUNK_CELLS // width)
-
-        def worker(lo: int, hi: int) -> np.ndarray:
-            S = self._inner_sums(lo, hi, offset_factors)
-            pw = modulus_power(S.real**2 + S.imag**2, r)
-            # fixed-order compensated reduction along the iota axis
-            s = np.zeros(width)
-            comp = np.zeros(width)
-            for row in pw:
-                t = s + row
-                big = np.abs(s) >= np.abs(row)
-                comp += np.where(big, (s - t) + row, (row - t) + s)
-                s = t
-            return s + comp
-
-        partials = _run_chunks(_chunk_ranges(self.total, chunk), worker, self.threads)
-        out = np.zeros(width)
-        for part in partials:
-            out += part
-        return out
+        """For each offset v: sum over iota of |S(iota, v)|^r, correctly rounded."""
+        return self._offset_power_sum(
+            r, offset_factors, lambda pw: exact_partials(pw, axis=0)
+        )
 
 
 def _offset_factors(
@@ -389,6 +381,11 @@ def _offset_factors(
     P = np.asarray(phase_vals, dtype=np.float64)  # (k, npts)
     phases = offsets @ P  # (V, npts), in turns
     return np.exp(2j * np.pi * phases)
+
+
+def _check_exponent(r: float) -> None:
+    if not (math.isfinite(r) and r >= 2):
+        raise InvalidInputError(f"exponent r must be a finite number >= 2, got {r}")
 
 
 def _check_cell_budget(domain: SparseDomain, budget: int) -> None:
@@ -412,8 +409,7 @@ def padic_short_mv(
     precision: int | None = None,
 ) -> MeanValueReport:
     """The p-adic short mean value as an exact finite sum (see module docs)."""
-    if r < 2:
-        raise InvalidInputError("exponent r must be >= 2")
+    _check_exponent(r)
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)
     if precision is not None and precision > 53:
@@ -482,26 +478,42 @@ def real_sparse_mv(
     threads: int = 1,
 ) -> MeanValueReport:
     """Real mean value over the sparse domain (see module docs for methods)."""
-    if r < 2:
-        raise InvalidInputError("exponent r must be >= 2")
+    _check_exponent(r)
     quad = quad or QuadratureConfig()
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)
+    phase_vals = _phase_values(system, coeffs.domain)
+    # for even r, |f|^r has axis-j frequencies up to (r/2)(max P_j - min P_j),
+    # so the average over a grid one finer is the exact integral (module docs)
+    moduli = [(int(r) // 2) * (max(vals) - min(vals)) + 1 for vals in phase_vals]
+    canonical = all(s == 0 for s in sigma.sigma)
+    even = float(r).is_integer() and int(r) % 2 == 0
     mode = quad.mode
     if mode == "auto":
-        use_grid = (
-            all(s == 0 for s in sigma.sigma)
-            and float(r).is_integer()
-            and int(r) % 2 == 0
-            and _exact_grid_size(system, coeffs, int(r)) <= quad.node_budget
-        )
+        use_grid = canonical and even and math.prod(moduli) <= quad.node_budget
         mode = "grid" if use_grid else "gauss"
     if mode == "grid":
-        value, err = _real_exact_grid(system, coeffs, int(r), scale, sigma, quad, threads)
+        if not canonical:
+            raise InvalidInputError("exact grid integration requires sigma = 0")
+        if not even:
+            raise InvalidInputError(
+                f"exact grid integration requires an even integer r, got {r}"
+            )
+        size = math.prod(moduli)
+        if size > quad.node_budget:
+            raise BudgetExceededError(
+                f"exact grid needs {size} samples, over budget {quad.node_budget}",
+                requested=size,
+                budget=quad.node_budget,
+            )
+        grid = _GridSum(system, coeffs, moduli, threads=threads, phase_vals=phase_vals)
+        value = grid.weighted_power_sum(r) / size
+        # rounding-level estimate: the transform leaves O(log T) ulps per sample
+        err = value * 4e-15 * math.log2(size + 2)
     else:
-        value, err, _, _ = _real_gauss(
-            system, coeffs, r, scale, sigma, domain, quad, threads
-        )
+        grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads,
+                        phase_vals=phase_vals)
+        value, err, _, _ = _real_gauss(grid, r, scale, sigma, domain, quad)
     return MeanValueReport(
         value=value,
         r=r,
@@ -510,67 +522,19 @@ def real_sparse_mv(
     )
 
 
-def _exact_grid_size(system: PhaseSystem, coeffs: CoefficientVector, r: int) -> int:
-    phase_vals = _phase_values(system, coeffs.domain)
-    size = 1
-    for vals in phase_vals:
-        span = max(vals) - min(vals)
-        size *= (r // 2) * span + 1
-    return size
-
-
-def _real_exact_grid(
-    system: PhaseSystem,
-    coeffs: CoefficientVector,
-    r: int,
-    scale: ScaleSpec,
-    sigma: LocalizationVector,
-    quad: QuadratureConfig,
-    threads: int,
-) -> tuple[float, float]:
-    """Exact canonical-scale torus integral for even r.
-
-    |f|^r is a trig polynomial with axis-j frequencies bounded by
-    (r/2)(max P_j - min P_j); averaging over a strictly finer integer grid is
-    the exact integral, and every sample phase is rational, so the sum is the
-    same histogram-and-inverse-FFT grid sum as the p-adic value, with moduli
-    (r/2)(max P_j - min P_j) + 1.
-    """
-    if any(s != 0 for s in sigma.sigma):
-        raise InvalidInputError("exact grid integration requires sigma = 0")
-    phase_vals = _phase_values(system, coeffs.domain)
-    moduli = []
-    for vals in phase_vals:
-        span = max(vals) - min(vals)
-        moduli.append((r // 2) * span + 1)
-    size = math.prod(moduli)
-    if size > quad.node_budget:
-        raise BudgetExceededError(
-            f"exact grid needs {size} samples, over budget {quad.node_budget}",
-            requested=size,
-            budget=quad.node_budget,
-        )
-    grid = _GridSum(system, coeffs, moduli, threads=threads)
-    power_sum = grid.weighted_power_sum(r)
-    value = power_sum / size
-    # rounding-level estimate: the transform leaves O(log T) ulps per sample
-    err = abs(value) * 4e-15 * math.log2(size + 2)
-    return value, err
-
-
 def _real_gauss(
-    system: PhaseSystem,
-    coeffs: CoefficientVector,
+    grid: _GridSum,
     r: float,
     scale: ScaleSpec,
     sigma: LocalizationVector,
     domain: SparseDomain,
     quad: QuadratureConfig,
-    threads: int,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Two-level Gauss evaluation; returns (value, error, fine offsets, weights)."""
-    phase_vals = _phase_values(system, coeffs.domain)
-    max_abs = [max(abs(v) for v in vals) for vals in phase_vals]
+    """Two-level Gauss evaluation over the cell grid of ``domain``.
+
+    Returns (value, error, fine offsets, fine weights).
+    """
+    max_abs = [max(abs(v) for v in vals) for vals in grid.phase_vals]
     widths = [2 * h for h in domain.cell_halfwidths]
     depths = resolve_depths(quad, widths, max_abs)
     fine_depths = tuple(s + 1 for s in depths)
@@ -583,12 +547,11 @@ def _real_gauss(
                 requested=nodes * domain.total_cells,
                 budget=quad.node_budget,
             )
-    grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
     results = []
     saved = None
     for level in (depths, fine_depths):
         offsets, weights = tensor_offsets(domain.cell_halfwidths, level, quad.order)
-        factors = _offset_factors(phase_vals, offsets)
+        factors = _offset_factors(grid.phase_vals, offsets)
         results.append(grid.weighted_power_sum(r, factors, weights))
         saved = (offsets, weights)
     prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))
@@ -615,17 +578,15 @@ def transfer_check(
     value is a positively weighted average of the p-adic values at the grid
     points, so the comparison is guaranteed up to quadrature error.
     """
+    _check_exponent(r)
     quad = quad or QuadratureConfig()
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)
-    real_value, qerr, offsets, _ = _real_gauss(
-        system, coeffs, r, scale, sigma, domain, quad, threads
-    )
+    gs = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
+    real_value, qerr, offsets, _ = _real_gauss(gs, r, scale, sigma, domain, quad)
     if grid is None:
         grid = offsets
-    phase_vals = _phase_values(system, coeffs.domain)
-    factors = _offset_factors(phase_vals, np.asarray(grid, dtype=np.float64))
-    gs = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
+    factors = _offset_factors(gs.phase_vals, np.asarray(grid, dtype=np.float64))
     sums = gs.per_offset_power_sum(r, factors)
     exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
     prefactor = float(_scale_power(scale, exponent))

@@ -126,6 +126,8 @@ class HenselRoot:
 def hensel_sqrt_minus_one(p: int, K: int) -> HenselRoot:
     """Lift the smaller square root of -1 mod p to a root mod p**K.
 
+    The root mod p is the smaller of +-c^((p-1)/4), c the least quadratic
+    non-residue.
     Newton steps x <- x - (x^2+1) * (2x)^{-1} double the working modulus, so
     only O(log K) modular inversions are needed; 2x is a unit since p is odd.
     """
@@ -135,14 +137,12 @@ def hensel_sqrt_minus_one(p: int, K: int) -> HenselRoot:
         raise UnsupportedPrimeError(f"p={p} is not 1 mod 4; -1 has no square root")
     if K < 1:
         raise InvalidInputError("K must be a positive integer")
-    base = None
-    for x in range(2, p - 1):
-        if (x * x + 1) % p == 0:
-            base = x  # the search runs upward, so this is the smaller root
-            break
-    if base is None:
-        raise UnsupportedPrimeError(f"no square root of -1 mod {p}")
-    x = base
+    # c^((p-1)/4) squares to c^((p-1)/2) = -1 for a non-residue c (Euler)
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    x = pow(c, (p - 1) // 4, p)
+    x = min(x, p - x)
     prec = 1
     while prec < K:
         prec = min(2 * prec, K)

@@ -46,6 +46,28 @@ def test_hensel_bad_prime_exit_1(capsys):
     assert code == 1  # p = 3 mod 4 unsupported
 
 
+@pytest.mark.parametrize("args", [
+    ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "nan"],
+    ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "inf"],
+    ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "nan"],
+    ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "inf"],
+    ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "nan",
+     "--vectors", "1"],
+    ["restriction-estimate", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "inf"],
+    ["corollary-ratio", "--p", "3", "--K-list", "1", "--sigma", "0", "--r", "nan"],
+    ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--threads", "-3"],
+    ["hensel", "--p", "5", "--K", "2", "--threads", "-3"],
+    ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+     "--threads", "0"],
+])
+def test_bad_exponent_or_threads_exit_1_one_line(args, tmp_path, capsys):
+    code, _, err = run(args + ["--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 1
+    assert err.startswith("invalid input: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_traces_rows(tmp_path, capsys):
     out_file = tmp_path / "tr.csv"
     code, _, _ = run(

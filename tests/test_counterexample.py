@@ -36,6 +36,9 @@ def test_family_validation():
         CounterexampleFamily(scale=scale, xi=hensel_sqrt_minus_one(5, 1), r=4.0)
     with pytest.raises(InvalidInputError):
         CounterexampleFamily(scale=scale, xi=xi, r=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            CounterexampleFamily(scale=scale, xi=xi, r=bad)
 
 
 def test_sum_norm_r2_orthogonality():

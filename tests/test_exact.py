@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemv.exact import (
-    CHUNK,
     PhaseFraction,
     compensated_sum,
+    exact_partials,
+    fsum_rows,
     modulus_power,
     root_table,
     tree_sum,
@@ -89,7 +90,7 @@ def test_compensated_sum_roots_of_unity_cancel():
 def test_tree_sum_matches_fsum():
     rng = np.random.default_rng(7)
     vals = rng.normal(size=5000)
-    assert tree_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-14)
+    assert tree_sum(vals) == math.fsum(vals)
 
 
 def test_tree_sum_permutation_invariance_large():
@@ -104,8 +105,8 @@ def test_tree_sum_permutation_invariance_large():
 
 
 def test_tree_sum_chunk_boundaries():
-    # exercise sizes straddling the chunk width
-    for n in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17):
+    # sizes straddling the width of the former fixed-shape tree
+    for n in (0, 1, 1023, 1024, 1025, 3 * 1024 + 17):
         vals = np.arange(n, dtype=np.float64)
         assert tree_sum(vals) == pytest.approx(n * (n - 1) / 2.0, rel=1e-14, abs=1e-12)
 
@@ -121,3 +122,103 @@ def test_modulus_power_even_and_general():
     assert np.allclose(modulus_power(a2, 4), a2**2)
     assert np.allclose(modulus_power(a2, 3), a2**1.5)
     assert modulus_power(np.array([0.0]), 2.5)[0] == 0.0
+
+
+# --- the extraction sum against math.fsum -----------------------------------
+
+SIZES = (0, 1, 1023, 1024, 1025, 3 * 1024 + 17)
+
+
+def _mixed(rng, n):
+    """Signed terms with exponents spread from 1e-30 to 1e30."""
+    return rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, size=n)
+
+
+def _cancelling(rng, n):
+    """Pairs that cancel exactly, plus a few small terms that survive."""
+    half = rng.normal(size=n // 2) * 10.0 ** rng.uniform(-12, 12, size=n // 2)
+    rest = rng.normal(size=n - 2 * (n // 2)) * 1e-20
+    vals = np.concatenate([half, -half, rest])
+    rng.shuffle(vals)
+    return vals
+
+
+def _power_like(rng, n):
+    """Nonnegative |S|^r-like terms: |S|^2 spread over decades, raised to 5/2."""
+    return (rng.random(n) * 10.0 ** rng.uniform(-8, 4, size=n)) ** 2.5
+
+
+KINDS = (_mixed, _cancelling, _power_like)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS), st.sampled_from(SIZES), st.integers(0, 2**32 - 1))
+def test_tree_sum_equals_fsum_real(kind, n, seed):
+    vals = kind(np.random.default_rng(seed), n)
+    assert tree_sum(vals) == math.fsum(vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KINDS), st.sampled_from(KINDS), st.sampled_from(SIZES),
+       st.integers(0, 2**32 - 1))
+def test_tree_sum_equals_fsum_complex_part_by_part(kind_re, kind_im, n, seed):
+    rng = np.random.default_rng(seed)
+    vals = kind_re(rng, n) + 1j * kind_im(rng, n)
+    total = tree_sum(vals)
+    assert total.real == math.fsum(vals.real)
+    assert total.imag == math.fsum(vals.imag)
+    assert compensated_sum(vals.tolist()) == total
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS), st.sampled_from(SIZES[1:]), st.integers(0, 2**32 - 1))
+def test_tree_sum_permutation_invariant(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    vals = kind(rng, n)
+    assert tree_sum(vals[rng.permutation(n)]) == tree_sum(vals)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS), st.sampled_from(SIZES), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_column_form_equals_fsum_per_column(kind, n, width, seed):
+    cols = kind(np.random.default_rng(seed), n * width).reshape(n, width)
+    sums = fsum_rows(exact_partials(cols, axis=0))
+    assert sums.shape == (width,)
+    assert sums.tolist() == [math.fsum(cols[:, j]) for j in range(width)]
+
+
+def test_partials_of_chunks_combine_to_the_whole():
+    rng = np.random.default_rng(5)
+    vals = _mixed(rng, 5000)
+    for cuts in ((1000,), (1, 2, 4999), tuple(range(0, 5000, 7))):
+        rows = np.concatenate([exact_partials(part) for part in np.split(vals, cuts)])
+        assert fsum_rows(rows) == math.fsum(vals)
+    block = vals.reshape(1000, 5)
+    rows = np.concatenate([exact_partials(block[:600], axis=0),
+                           exact_partials(block[600:], axis=0)])
+    assert fsum_rows(rows).tolist() == [math.fsum(block[:, j]) for j in range(5)]
+
+
+def test_tree_sum_extreme_magnitudes_terminate():
+    # the bare extraction loop never ends here: sigma would overflow
+    assert tree_sum(np.array([1e308, 1e308, -1e308])) == 1e308
+    assert tree_sum(np.array([1e308, 1e308])) == math.inf
+    tiny = np.array([5e-324, 5e-324, -1e-320, 2.5e-310])
+    assert tree_sum(tiny) == math.fsum(tiny)
+    spread = _mixed(np.random.default_rng(3), 4000) * 10.0 ** np.linspace(-270, 270, 4000)
+    assert tree_sum(spread) == math.fsum(spread)
+
+
+def test_tree_sum_non_finite_propagates_like_numpy():
+    assert math.isnan(tree_sum(np.array([1.0, math.nan, 2.0])))
+    assert tree_sum(np.array([1.0, math.inf])) == math.inf
+    assert tree_sum(np.array([-math.inf, 3.0])) == -math.inf
+    assert math.isnan(tree_sum(np.array([math.inf, -math.inf])))
+    cols = np.array([[1.0, math.nan, 1e-300], [2.0, 1.0, 1e300]])
+    sums = fsum_rows(exact_partials(cols, axis=0))
+    assert sums[0] == 3.0 and math.isnan(sums[1]) and sums[2] == 1e300
+    # an infinite chunk beside a finite chunk whose total overflows
+    rows = np.concatenate([exact_partials(np.array([math.inf, 1.0])),
+                           exact_partials(np.array([1e308, 1e308]))])
+    assert fsum_rows(rows) == math.inf

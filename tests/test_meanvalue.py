@@ -10,6 +10,7 @@ import pytest
 
 from sparsemv.domains import LocalizationVector
 from sparsemv.errors import BudgetExceededError, InvalidInputError
+from sparsemv.exact import modulus_power
 from sparsemv.meanvalue import (
     CoefficientVector,
     IndexDomain,
@@ -22,7 +23,12 @@ from sparsemv.meanvalue import (
     sample_coefficients,
     transfer_check,
 )
-from sparsemv.meanvalue import _GridSum, _real_gauss  # internal, exercised on purpose
+from sparsemv import meanvalue
+from sparsemv.meanvalue import (  # internal, exercised on purpose
+    _GridSum,
+    _offset_factors,
+    _real_gauss,
+)
 from sparsemv.domains import build_domain
 from sparsemv.numberfield import (
     MinimalPolynomial,
@@ -31,7 +37,7 @@ from sparsemv.numberfield import (
     parabola_system,
 )
 from sparsemv.padic import ScaleSpec
-from sparsemv.quadrature import QuadratureConfig
+from sparsemv.quadrature import QuadratureConfig, tensor_offsets
 
 PARABOLA = parabola_system()
 MOMENT3 = moment_curve(3)
@@ -368,7 +374,8 @@ def test_real_localized_equals_weighted_padic_average():
     sig = _sigma(0, 1)
     sparse = build_domain(scale, sig, PARABOLA.degrees)
     value, err, offsets, weights = _real_gauss(
-        PARABOLA, coeffs, 4.0, scale, sig, sparse, QuadratureConfig(), 1
+        _GridSum(PARABOLA, coeffs, sparse.cell_counts), 4.0, scale, sig, sparse,
+        QuadratureConfig(),
     )
     recomputed = 0.0
     for v, w in zip(offsets, weights):
@@ -555,6 +562,17 @@ def test_grid_mode_requires_sigma_zero():
                        QuadratureConfig(mode="grid"))
 
 
+def test_grid_mode_requires_even_integer_exponent():
+    # the grid is exact only for even integer r; odd or fractional r once ran
+    # with int(r) and reported the wrong value with a rounding-level bound
+    scale = ScaleSpec(p=3, K=1)
+    coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
+    for r in (3.0, 4.5):
+        with pytest.raises(InvalidInputError):
+            real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(0, 0),
+                           QuadratureConfig(mode="grid"))
+
+
 def test_threads_do_not_change_values():
     scale = ScaleSpec(p=3, K=2)
     domain = IndexDomain.box(9, 1)
@@ -565,3 +583,67 @@ def test_threads_do_not_change_values():
     real1 = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1), threads=1)
     real4 = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1), threads=4)
     assert real1.value == real4.value
+
+
+def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
+    # a transfer-check case: the localized parabola with its fine node set
+    scale = ScaleSpec(p=3, K=2)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=29)
+    domain = build_domain(scale, _sigma(0, 1), PARABOLA.degrees)
+    offsets, weights = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
+    grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
+    factors = _offset_factors(grid.phase_vals, offsets)
+    # oracle: math.fsum over every term of one unchunked evaluation
+    S = grid._inner_sums(0, grid.total, factors)
+    terms = modulus_power(S.real**2 + S.imag**2, 4.0)
+    expected_total = math.fsum((terms * weights).ravel())
+    expected_columns = [math.fsum(terms[:, j]) for j in range(terms.shape[1])]
+    for chunk in (1, 7, meanvalue._CHUNK_CELLS):
+        monkeypatch.setattr(meanvalue, "_CHUNK_CELLS", chunk)
+        for threads in (1, 2):
+            grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
+            assert grid.weighted_power_sum(4.0, factors, weights) == expected_total
+            per_offset = grid.per_offset_power_sum(4.0, factors)
+            assert per_offset.tolist() == expected_columns
+
+
+def test_phase_values_evaluated_once_per_call(monkeypatch):
+    calls = []
+    original = meanvalue._phase_values
+
+    def counting(system, domain):
+        calls.append(1)
+        return original(system, domain)
+
+    monkeypatch.setattr(meanvalue, "_phase_values", counting)
+    scale = ScaleSpec(p=3, K=2)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=3)
+    runs = [
+        lambda: padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)),
+        lambda: real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0)),
+        lambda: real_sparse_mv(PARABOLA, coeffs, 3.0, scale, _sigma(0, 1)),
+        lambda: transfer_check(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)),
+    ]
+    for call in runs:
+        calls.clear()
+        call()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1.5])
+def test_non_finite_or_small_exponent_rejected(r):
+    scale = ScaleSpec(p=3, K=1)
+    coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
+    for fn in (padic_short_mv, real_sparse_mv, transfer_check):
+        with pytest.raises(InvalidInputError):
+            fn(PARABOLA, coeffs, r, scale, _sigma(0, 1))
+
+
+def test_threads_below_one_rejected():
+    scale = ScaleSpec(p=3, K=1)
+    coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
+    for threads in (0, -3):
+        with pytest.raises(InvalidInputError):
+            padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0), threads=threads)
+        with pytest.raises(InvalidInputError):
+            real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1), threads=threads)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,23 @@ def test_hensel_lift_coherence():
         top = hensel_sqrt_minus_one(p, 12)
         for K in range(1, 13):
             assert top.xi % p**K == hensel_sqrt_minus_one(p, K).xi
+
+
+def test_hensel_base_root_matches_linear_search():
+    # oracle: the smaller root of x^2 + 1 found by trying every residue
+    for p in range(5, 5000, 4):
+        if not is_prime(p):
+            continue
+        smaller = next(x for x in range(2, p - 1) if (x * x + 1) % p == 0)
+        assert hensel_sqrt_minus_one(p, 1).xi == smaller
+
+
+def test_hensel_large_prime_is_fast():
+    start = time.perf_counter()
+    root = hensel_sqrt_minus_one(1000000009, 2)
+    assert time.perf_counter() - start < 1.0
+    assert (root.xi**2 + 1) % 1000000009**2 == 0
+    assert root.xi % 1000000009 <= 1000000009 // 2
 
 
 def test_hensel_rejects_bad_primes():
