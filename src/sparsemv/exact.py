@@ -118,8 +118,11 @@ def root_table(modulus: int) -> np.ndarray:
     return np.exp(2j * np.pi * (t / modulus))
 
 
-def _extract(x: np.ndarray) -> np.ndarray:
-    """Exact partial sums of a 1-d or 2-d x along axis 0, as rows; consumes x.
+def extract_partials(x: np.ndarray) -> np.ndarray:
+    """Exact partial sums of a 1-d or 2-d float64 x along axis 0, as rows.
+
+    It consumes x: the caller hands over an array it no longer reads, and
+    no copy is made.  :func:`exact_partials` is the non-consuming form.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008): for n terms take
@@ -174,7 +177,7 @@ def exact_partials(values: np.ndarray, axis: int | None = None) -> np.ndarray:
     concatenated before :func:`fsum_rows` rounds them once.
     """
     x = np.array(values, dtype=np.float64)
-    return _extract(x.ravel() if axis is None else x)
+    return extract_partials(x.ravel() if axis is None else x)
 
 
 def fsum_rows(rows: np.ndarray) -> float | np.ndarray:
@@ -185,7 +188,7 @@ def fsum_rows(rows: np.ndarray) -> float | np.ndarray:
 
 
 def _total(values: np.ndarray) -> float:
-    return _fsum(_extract(np.array(values, dtype=np.float64).ravel()).tolist())
+    return _fsum(extract_partials(np.array(values, dtype=np.float64).ravel()).tolist())
 
 
 def tree_sum(values: np.ndarray | Iterable) -> complex | float:
@@ -207,12 +210,12 @@ def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:
     """|z|^r from |z|^2, for real r >= 2.
 
     Even integer exponents stay in pure multiplications; other exponents use
-    exp((r/2) log |z|^2) with zeros mapped to zero.
+    exp((r/2) log |z|^2), in one output array, which maps zeros to zero.
     """
     half = r / 2.0
     if half == int(half):
         return abs_squared ** int(half)
-    out = np.zeros_like(abs_squared)
-    nz = abs_squared > 0.0
-    out[nz] = np.exp(half * np.log(abs_squared[nz]))
-    return out
+    with np.errstate(divide="ignore"):  # log 0 = -inf and exp(-inf) = 0
+        out = np.log(abs_squared)
+    out *= half
+    return np.exp(out, out=out)

@@ -11,9 +11,10 @@ inequality.  The residues P_j(n) mod M_j are reduced exactly with Python
 integers and the coefficients scattered into the phase histogram
 H[h] = sum {a_n : P(n) = h mod M}; one unnormalised inverse FFT of H gives the
 inner sum at every cell, so floating point enters only in the transform and
-in the final reduction.  Sums with quadrature offsets (below) are evaluated
-directly instead: integer phase numerators against a common modulus, with
-floating point entering once per term at the root-of-unity lookup.
+in the final reduction.  Sums with quadrature offsets v (below) are one matrix
+product per block of cells: the point table E[iota, n] = a_n prod_j
+e(iota_j (P_j(n) mod M_j) / M_j), reduced exactly per axis, times the offset
+table e(v . P(n)) gives S(iota, v) for every cell and offset at once.
 
 The real sparse mean value integrates |sum_n a_n e(x . P(n))|^r over the
 union of cells.  Substituting x = center + v turns each cell integral into an
@@ -28,7 +29,7 @@ Because the Gauss weights are positive and the real value is a weighted
 average over node offsets v of p-adic values of the modulated coefficients,
 the transference comparison real <= sup over v of p-adic holds for the
 computed quantities up to rounding; transfer_check tests it per coefficient
-vector.
+vector, reading both sides from one fine-level pass of per-offset sums.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .domains import (
 )
 from .errors import BudgetExceededError, InvalidInputError
 from .exact import (
-    exact_partials,
+    extract_partials,
     fsum_rows,
     modulus_power,
     root_table,
@@ -69,12 +70,8 @@ from .quadrature import (
 
 SAMPLER_NAMES = ("all-ones", "single-point", "random-phase", "random-sparse")
 
-#: Work chunk target (iota rows x offset columns) for the direct evaluator.
-_CHUNK_CELLS = 1 << 21
-
-#: Above this bound on k * modulus^2 the phase numerators could overflow
-#: int64, so the direct evaluator falls back to Python integers.
-_INT64_PHASE_LIMIT = 2**62
+#: Byte target of one row block of complex offset samples (cells x offsets).
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,9 @@ class _GridSum:
     unnormalised inverse DFT of the phase histogram
     H[h] = sum {a_n : P(n) = h mod M}, so one scatter and one inverse FFT give
     every cell in O(T log T + #points), T = prod M_j.  With quadrature offsets
-    the sums are evaluated directly from integer phase numerators on a common
-    modulus; with a single unit offset that path is the reference the
-    transform is tested against.
+    v, S(iota, v) = sum_n E[iota, n] e(v . P(n)) is one GEMM per block of
+    cells, and the sums of |S|^r are taken per offset; with a single zero
+    offset that path is the reference the transform is tested against.
     """
 
     def __init__(
@@ -274,17 +271,25 @@ class _GridSum:
             phase_vals = _phase_values(system, coeffs.domain)
         self.phase_vals = phase_vals
         self.base = coeffs.values()
-        self.k = len(self.moduli)
 
-    def _transform_power_sum(self, r: float) -> float:
-        """sum over iota of |S(iota)|^r from one histogram and one inverse FFT."""
-        residues = tuple(
+    @cached_property
+    def _residues(self) -> tuple[np.ndarray, ...]:
+        """P_j(n) mod M_j for every axis j, reduced exactly with Python integers."""
+        return tuple(
             np.array([v % m for v in vals], dtype=np.intp)
             for vals, m in zip(self.phase_vals, self.moduli)
         )
+
+    @cached_property
+    def _roots(self) -> tuple[np.ndarray, ...]:
+        """The M_j-th roots of unity for every axis j."""
+        return tuple(root_table(m) for m in self.moduli)
+
+    def _transform_power_sum(self, r: float) -> float:
+        """sum over iota of |S(iota)|^r from one histogram and one inverse FFT."""
         try:
             S = np.zeros(self.moduli, dtype=np.complex128)
-            np.add.at(S, residues, self.base)
+            np.add.at(S, self._residues, self.base)
             # norm="forward" leaves the inverse transform unscaled: S = T ifftn(H)
             np.fft.ifftn(S, norm="forward", out=S)
             parts = S.view(np.float64)  # re, im interleaved
@@ -303,75 +308,68 @@ class _GridSum:
                 requested=needed,
             ) from None
 
-    @cached_property
-    def _phase_tables(self) -> tuple[int, type, list[np.ndarray], np.ndarray]:
-        """Common modulus, numerator dtype, per-point numerators, root table."""
-        common = math.lcm(*self.moduli)
-        dtype = object if self.k * common * common >= _INT64_PHASE_LIMIT else np.int64
-        mult = [
-            np.array([(pv % m) * (common // m) for pv in vals], dtype=dtype)
-            for vals, m in zip(self.phase_vals, self.moduli)
-        ]
-        return common, dtype, mult, root_table(common)
+    def _point_rows(self, lo: int, hi: int) -> np.ndarray:
+        """E[iota, n] = a_n prod_j e(iota_j P_j(n) / M_j) for iota in [lo, hi)."""
+        E = np.repeat(self.base[None, :], hi - lo, axis=0)
+        cols = np.unravel_index(np.arange(lo, hi), self.moduli)
+        for col, res, roots in zip(cols, self._residues, self._roots):
+            E *= roots[np.multiply.outer(col, res) % len(roots)]
+        return E
 
-    def _inner_sums(self, lo: int, hi: int, offset_factors: np.ndarray) -> np.ndarray:
-        """S over the iota chunk for every offset: shape (hi-lo, V)."""
-        common, dtype, mult, table = self._phase_tables
-        cols = [
-            c.astype(dtype, copy=False)
-            for c in np.unravel_index(np.arange(lo, hi), self.moduli)
-        ]
-        S = np.zeros((hi - lo, offset_factors.shape[0]), dtype=np.complex128)
-        for n in range(len(self.base)):
-            t = cols[0] * mult[0][n]
-            for j in range(1, self.k):
-                t = t + cols[j] * mult[j][n]
-            t = t % common
-            if dtype is object:
-                t = t.astype(np.int64)
-            S += (self.base[n] * table[t])[:, None] * offset_factors[:, n][None, :]
-        return S
+    def _power_block(
+        self, lo: int, hi: int, r: float, offset_factors: np.ndarray
+    ) -> np.ndarray:
+        """|S(iota, v)|^r for iota in [lo, hi) and every offset v: one GEMM."""
+        S = np.matmul(self._point_rows(lo, hi), offset_factors.T)
+        parts = S.view(np.float64)  # re, im interleaved
+        parts *= parts
+        a2 = parts[:, 0::2]
+        a2 += parts[:, 1::2]
+        return modulus_power(a2, r)
 
-    def _offset_power_sum(
-        self, r: float, offset_factors: np.ndarray,
-        partials: Callable[[np.ndarray], np.ndarray],
-    ) -> float | np.ndarray:
-        """Round once the exact partials(|S|^r) of every iota chunk.
+    def per_offset_power_sum(self, r: float, offset_factors: np.ndarray) -> np.ndarray:
+        """For each offset v: sum over iota of |S(iota, v)|^r, correctly rounded.
 
-        The rounded value depends on neither the chunk size nor the thread
-        count, because the partials of each chunk are exact.
+        Row blocks of iota stay under _BLOCK_BYTES of samples and may run on
+        several threads; each yields exact column partials, so the sums
+        depend on neither the thread count nor the order of the blocks.
         """
-        chunk = max(1, _CHUNK_CELLS // offset_factors.shape[0])
-        bounds = [(lo, min(lo + chunk, self.total)) for lo in range(0, self.total, chunk)]
+        offsets = offset_factors.shape[0]
+        rows = max(1, _BLOCK_BYTES // (16 * offsets))
+        bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
 
         def run(lo_hi: tuple[int, int]) -> np.ndarray:
-            S = self._inner_sums(*lo_hi, offset_factors)
-            return partials(modulus_power(S.real**2 + S.imag**2, r))
+            return extract_partials(self._power_block(*lo_hi, r, offset_factors))
 
-        if self.threads == 1 or len(bounds) == 1:
-            rows = list(map(run, bounds))
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                rows = list(pool.map(run, bounds))
-        return fsum_rows(np.concatenate(rows))
+        def fold(partials: np.ndarray, block: np.ndarray) -> np.ndarray:
+            # keeps a few rows of partials, however many blocks there are
+            return extract_partials(np.concatenate([partials, block]))
+
+        try:
+            if self.threads == 1 or len(bounds) == 1:
+                partials = reduce(fold, map(run, bounds))
+            else:
+                with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                    partials = reduce(fold, pool.map(run, bounds))
+        except MemoryError:
+            # a block's complex samples, its |S|^r and its point rows
+            needed = rows * (24 * offsets + 16 * len(self.base))
+            raise BudgetExceededError(
+                f"offset grid block of {rows} cells x {offsets} offsets needs "
+                f"about {needed} bytes, more than the machine could allocate",
+                requested=needed,
+            ) from None
+        return fsum_rows(partials)
 
     def weighted_power_sum(
         self, r: float, offset_factors: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> float:
-        """sum over iota (and offsets, weighted) of |S|^r, correctly rounded."""
+        """sum over iota of |S|^r; with offsets, fsum(w_v * sum_v) of per-offset sums."""
         if offset_factors is None:
             return self._transform_power_sum(r)
-        return self._offset_power_sum(
-            r, offset_factors,
-            lambda pw: exact_partials(pw if weights is None else pw * weights),
-        )
-
-    def per_offset_power_sum(self, r: float, offset_factors: np.ndarray) -> np.ndarray:
-        """For each offset v: sum over iota of |S(iota, v)|^r, correctly rounded."""
-        return self._offset_power_sum(
-            r, offset_factors, lambda pw: exact_partials(pw, axis=0)
-        )
+        sums = self.per_offset_power_sum(r, offset_factors)
+        return fsum_rows(sums if weights is None else weights * sums)
 
 
 def _offset_factors(
@@ -513,7 +511,7 @@ def real_sparse_mv(
     else:
         grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads,
                         phase_vals=phase_vals)
-        value, err, _, _ = _real_gauss(grid, r, scale, sigma, domain, quad)
+        value, err, _, _, _ = _real_gauss(grid, r, scale, sigma, domain, quad)
     return MeanValueReport(
         value=value,
         r=r,
@@ -529,10 +527,11 @@ def _real_gauss(
     sigma: LocalizationVector,
     domain: SparseDomain,
     quad: QuadratureConfig,
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
     """Two-level Gauss evaluation over the cell grid of ``domain``.
 
-    Returns (value, error, fine offsets, fine weights).
+    Each level is one per-offset pass; its value is fsum(w_v * sum_v).
+    Returns (value, error, fine offsets, fine weights, fine per-offset sums).
     """
     max_abs = [max(abs(v) for v in vals) for vals in grid.phase_vals]
     widths = [2 * h for h in domain.cell_halfwidths]
@@ -548,15 +547,13 @@ def _real_gauss(
                 budget=quad.node_budget,
             )
     results = []
-    saved = None
     for level in (depths, fine_depths):
         offsets, weights = tensor_offsets(domain.cell_halfwidths, level, quad.order)
-        factors = _offset_factors(grid.phase_vals, offsets)
-        results.append(grid.weighted_power_sum(r, factors, weights))
-        saved = (offsets, weights)
+        sums = grid.per_offset_power_sum(r, _offset_factors(grid.phase_vals, offsets))
+        results.append(fsum_rows(weights * sums))
     prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))
     coarse, fine = (prefactor * v for v in results)
-    return fine, abs(fine - coarse), saved[0], saved[1]
+    return fine, abs(fine - coarse), offsets, weights, sums
 
 
 def transfer_check(
@@ -576,18 +573,18 @@ def transfer_check(
 
     The default grid is the fine-level quadrature node set, for which the real
     value is a positively weighted average of the p-adic values at the grid
-    points, so the comparison is guaranteed up to quadrature error.
+    points, so the comparison is guaranteed up to quadrature error.  Both
+    sides then read the same fine-level per-offset sums.
     """
     _check_exponent(r)
     quad = quad or QuadratureConfig()
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)
     gs = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
-    real_value, qerr, offsets, _ = _real_gauss(gs, r, scale, sigma, domain, quad)
-    if grid is None:
-        grid = offsets
-    factors = _offset_factors(gs.phase_vals, np.asarray(grid, dtype=np.float64))
-    sums = gs.per_offset_power_sum(r, factors)
+    real_value, qerr, _, _, sums = _real_gauss(gs, r, scale, sigma, domain, quad)
+    if grid is not None:  # an explicit grid gets its own per-offset pass
+        factors = _offset_factors(gs.phase_vals, np.asarray(grid, dtype=np.float64))
+        sums = gs.per_offset_power_sum(r, factors)
     exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
     prefactor = float(_scale_power(scale, exponent))
     padic_sup = float(prefactor * sums.max())
@@ -598,7 +595,7 @@ def transfer_check(
         passed=bool(passed),
         tolerance=tol,
         quadrature_error_bound=qerr,
-        grid_size=int(len(grid)),
+        grid_size=len(sums),
     )
 
 

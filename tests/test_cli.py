@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import csv
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +140,23 @@ def test_out_of_memory_in_grid_transform_exits_3(tmp_path, capsys, monkeypatch):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert "27 cells" in lines[0] and "bytes" in lines[0]
+
+def test_out_of_memory_in_offset_gemm_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "matmul", out_of_memory)
+    code, out, err = run(
+        ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+         "--vectors", "1", "--out", str(tmp_path / "tc.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "offset grid block" in lines[0] and "bytes" in lines[0]
+
 
 def test_sigma_not_integral_exit_1(capsys):
     code, _, err = run(
@@ -312,3 +334,39 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["mv-padic", "--help"]) == 0
+
+
+def test_offset_outputs_do_not_depend_on_thread_settings(tmp_path):
+    # --threads splits the offset engine's row blocks over worker threads and
+    # OPENBLAS_NUM_THREADS splits each GEMM; neither may change a CSV byte
+    commands = [
+        ["transfer-check", "--p", "3", "--K", "2", "--sigma", "0,1", "--r", "4",
+         "--vectors", "2", "--seed", "5"],
+        ["mv-real", "--p", "5", "--K", "2", "--sigma", "0,1/2", "--r", "3",
+         "--sampler", "random-phase", "--seed", "5", "--quad-mode", "gauss"],
+    ]
+    script = (
+        "import sys, json\n"
+        "from sparsemv.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for threads in ("1", "2"):
+        for blas in ("1", "2"):
+            tag = f"t{threads}b{blas}"
+            argvs = [cmd + ["--threads", threads,
+                           "--out", str(tmp_path / f"{tag}-{i}.csv")]
+                     for i, cmd in enumerate(commands)]
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            outputs[tag] = [(tmp_path / f"{tag}-{i}.csv").read_bytes()
+                            for i in range(len(commands))]
+    first = outputs["t1b1"]
+    assert all(len(data) > 100 for data in first)
+    for tag, data in outputs.items():
+        assert data == first, tag

@@ -15,7 +15,7 @@ from sparsemv.counterexample import (
     sum_norm,
     verify_paraboloid_membership,
 )
-from sparsemv.errors import InvalidInputError
+from sparsemv.errors import BudgetExceededError, InvalidInputError
 from sparsemv.padic import HenselRoot, ScaleSpec, hensel_sqrt_minus_one
 
 
@@ -65,6 +65,37 @@ def test_sum_norm_direct_oracle_n5():
         total += abs(inner) ** 4
     expected = (N**4 * total) ** 0.25
     assert sum_norm(fam) == pytest.approx(expected, rel=1e-12)
+
+
+def _sum_norm_by_loop(fam):
+    """The O(N^3) residue loop that sum_norm replaced: one root-table lookup per
+    (w, n), accumulated over n, then the same |S|^r reduction."""
+    N = fam.N
+    M = N * N
+    table = np.exp(2j * np.pi * (np.arange(M) / M))
+    w = np.arange(M, dtype=np.int64)
+    S = np.zeros(M, dtype=np.complex128)
+    for n in range(N):
+        S += table[(w * n) % M]
+    total = math.fsum(np.abs(S) ** fam.r)
+    return (float(N) ** 4 * total) ** (1.0 / fam.r)
+
+
+# p = 13, k = 3 is left out: N^3 = 1.1e10 loop terms
+@pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (5, 3), (13, 1), (13, 2)])
+@pytest.mark.parametrize("r", [2.0, 6.0])
+def test_sum_norm_transform_matches_residue_loop(p, k, r):
+    fam = _family(p, k, r)
+    assert sum_norm(fam) == pytest.approx(_sum_norm_by_loop(fam), rel=1e-12)
+    if r == 2.0:
+        assert decoupling_ratio(fam) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_sum_norm_budget_counts_transform_length():
+    fam = _family(5, 2, 4.0)  # N = 25, transform length N^2 = 625
+    assert sum_norm(fam, budget=625) > 0
+    with pytest.raises(BudgetExceededError):
+        sum_norm(fam, budget=624)
 
 
 def test_sum_norm_matches_two_dimensional_residue_enumeration():

@@ -10,7 +10,7 @@ import pytest
 
 from sparsemv.domains import LocalizationVector
 from sparsemv.errors import BudgetExceededError, InvalidInputError
-from sparsemv.exact import modulus_power
+from sparsemv.exact import unit_root
 from sparsemv.meanvalue import (
     CoefficientVector,
     IndexDomain,
@@ -207,7 +207,8 @@ def test_padic_budget():
 # --- transform path against the direct evaluator and mpmath ------------------
 
 def _direct_power_sum(grid, r):
-    """The direct evaluator with one unit offset of unit weight."""
+    """The offset engine (one GEMM per row block) at a single zero offset of
+    unit weight: the same sum without the transform."""
     return grid.weighted_power_sum(r, np.ones((1, len(grid.base))), np.ones(1))
 
 
@@ -373,7 +374,7 @@ def test_real_localized_equals_weighted_padic_average():
     coeffs = sample_coefficients("random-phase", domain, seed=13)
     sig = _sigma(0, 1)
     sparse = build_domain(scale, sig, PARABOLA.degrees)
-    value, err, offsets, weights = _real_gauss(
+    value, err, offsets, weights, _ = _real_gauss(
         _GridSum(PARABOLA, coeffs, sparse.cell_counts), 4.0, scale, sig, sparse,
         QuadratureConfig(),
     )
@@ -540,20 +541,6 @@ def test_index_domain_validation():
     assert box.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def test_object_dtype_fallback_matches_int64(monkeypatch):
-    # forcing the big-integer phase path of the direct (offset) evaluator
-    # must not change any value
-    import sparsemv.meanvalue as mv
-
-    scale = ScaleSpec(p=3, K=1)
-    domain = IndexDomain.box(3, 1)
-    coeffs = sample_coefficients("random-phase", domain, seed=2)
-    fast = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
-    monkeypatch.setattr(mv, "_INT64_PHASE_LIMIT", 1)
-    slow = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
-    assert slow == fast
-
-
 def test_grid_mode_requires_sigma_zero():
     scale = ScaleSpec(p=3, K=1)
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
@@ -593,18 +580,120 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
     offsets, weights = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
     grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
-    # oracle: math.fsum over every term of one unchunked evaluation
-    S = grid._inner_sums(0, grid.total, factors)
-    terms = modulus_power(S.real**2 + S.imag**2, 4.0)
-    expected_total = math.fsum((terms * weights).ravel())
-    expected_columns = [math.fsum(terms[:, j]) for j in range(terms.shape[1])]
-    for chunk in (1, 7, meanvalue._CHUNK_CELLS):
-        monkeypatch.setattr(meanvalue, "_CHUNK_CELLS", chunk)
+    V = len(offsets)
+    default_rows = meanvalue._BLOCK_BYTES // (16 * V)
+    assert default_rows >= grid.total  # the default is one block here
+    columns_by_rows = {}
+    for rows in (1, 7, default_rows):
+        # oracle: math.fsum over the terms of the same row blocks.  BLAS may
+        # round a one-row product differently from a many-row one, so the
+        # terms are taken block by block from the engine's own block function
+        terms = np.concatenate([
+            grid._power_block(lo, min(lo + rows, grid.total), 4.0, factors)
+            for lo in range(0, grid.total, rows)
+        ])
+        assert terms.shape == (grid.total, V)
+        expected_columns = [math.fsum(terms[:, j]) for j in range(V)]
+        expected_total = math.fsum(w * c for w, c in zip(weights, expected_columns))
+        monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 16 * V * rows)
         for threads in (1, 2):
             grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
-            assert grid.weighted_power_sum(4.0, factors, weights) == expected_total
             per_offset = grid.per_offset_power_sum(4.0, factors)
             assert per_offset.tolist() == expected_columns
+            assert grid.weighted_power_sum(4.0, factors, weights) == expected_total
+        columns_by_rows[rows] = np.array(expected_columns)
+    for columns in columns_by_rows.values():
+        np.testing.assert_allclose(columns, columns_by_rows[default_rows], rtol=1e-13)
+
+
+# --- the offset engine against a direct, exact-phase oracle --------------------
+
+def _direct_abs_squared(system, coeffs, cells, offsets):
+    """|S(iota, v)|^2 for every cell iota (rows) and offset v (columns), by a
+    Python loop over points: exact rational phases, unit_root and math.fsum;
+    no root table, no common modulus and no BLAS."""
+    points = coeffs.domain.points
+    values = [complex(a) for a in coeffs.values()]
+    P = [[c.evaluate(pt) for pt in points] for c in system.components]
+    shifts = [
+        [unit_root(sum(Fraction(float(x)) * P[j][n] for j, x in enumerate(v)))
+         for n in range(len(points))]
+        for v in offsets
+    ]
+    rows = []
+    for iota in product(*(range(m) for m in cells)):
+        cell = [
+            unit_root(sum(Fraction(i * P[j][n], m)
+                          for j, (i, m) in enumerate(zip(iota, cells))))
+            for n in range(len(points))
+        ]
+        row = []
+        for shift in shifts:
+            terms = [a * c * e for a, c, e in zip(values, cell, shift)]
+            re = math.fsum(t.real for t in terms)
+            im = math.fsum(t.imag for t in terms)
+            row.append(re * re + im * im)
+        rows.append(row)
+    return rows
+
+
+def _direct_offset_sums(rows, r):
+    return [math.fsum(row[j] ** (r / 2) for row in rows) for j in range(len(rows[0]))]
+
+
+def _random_offsets(halfwidths, count, seed):
+    rng = np.random.default_rng(seed)
+    h = np.array([float(x) for x in halfwidths])
+    return rng.uniform(-1.0, 1.0, (count, len(h))) * h
+
+
+@pytest.mark.parametrize("system, p, K, sig", [
+    (PARABOLA, 3, 2, (0, 0)),
+    (PARABOLA, 3, 2, (0, 1)),
+    (MOMENT3, 3, 1, (0, 0, 0)),
+    (MOMENT3, 3, 1, (0, 1, 2)),
+    (GAUSSIAN, 3, 1, (0, 0, 0, 0)),
+    (GAUSSIAN, 3, 1, (0, 0, 1, 1)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 0, 0, 0)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 1, 1, 1)),
+])
+def test_offset_sums_match_direct_oracle(system, p, K, sig):
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        "random-phase", IndexDomain.box(scale.N, system.dimension), seed=43
+    )
+    domain = build_domain(scale, _sigma(*sig), system.degrees)
+    offsets = _random_offsets(domain.cell_halfwidths, 3, seed=47)
+    weights = np.array([0.5, 1.25, 2.0])
+    grid = _GridSum(system, coeffs, domain.cell_counts)
+    factors = _offset_factors(grid.phase_vals, offsets)
+    rows = _direct_abs_squared(system, coeffs, domain.cell_counts, offsets)
+    for r in (3.0, 4.0, 5.0):
+        expected = _direct_offset_sums(rows, r)
+        np.testing.assert_allclose(
+            grid.per_offset_power_sum(r, factors), expected, rtol=1e-12
+        )
+        assert grid.weighted_power_sum(r, factors, weights) == pytest.approx(
+            math.fsum(w * e for w, e in zip(weights, expected)), rel=1e-12
+        )
+
+
+def test_transfer_check_explicit_grid_matches_direct_oracle():
+    # an explicit grid that is not the node set gets its own per-offset pass
+    scale = ScaleSpec(p=3, K=2)
+    sig = _sigma(0, 1)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=53)
+    domain = build_domain(scale, sig, PARABOLA.degrees)
+    offsets = _random_offsets(domain.cell_halfwidths, 4, seed=59)
+    default = transfer_check(PARABOLA, coeffs, 3.0, scale, sig)
+    report = transfer_check(PARABOLA, coeffs, 3.0, scale, sig, grid=offsets)
+    rows = _direct_abs_squared(PARABOLA, coeffs, domain.cell_counts, offsets)
+    prefactor = 9.0 ** ((0 - 1) + (1 - 2))  # N^(sum_j sigma_j - deg_j)
+    expected_sup = prefactor * max(_direct_offset_sums(rows, 3.0))
+    assert report.grid_size == 4
+    assert report.padic_sup_over_grid == pytest.approx(expected_sup, rel=1e-12)
+    assert report.real_value == default.real_value
+    assert report.padic_sup_over_grid != default.padic_sup_over_grid
 
 
 def test_phase_values_evaluated_once_per_call(monkeypatch):
