@@ -3,8 +3,9 @@
 J(s, k, d; N, alpha) counts ordered pairs of s-tuples of field elements
 beta = n_0 + n_1 alpha + ... + n_{d-1} alpha^{d-1} (coordinates in [0, N))
 with equal power sums up to degree k.  Counting is exact: moment keys are
-integer vectors, so hashing is collision-free, and a pairwise brute-force
-oracle cross-checks small cases.  The growth exponent of J against the
+exact coordinate vectors, J is the sum of squared counts of the key histogram
+convolved with itself s times, and a pairwise brute-force oracle
+cross-checks small cases.  The growth exponent of J against the
 envelope max(ds, 2ds - d k(k+1)/2) is the quantity of interest.
 """
 

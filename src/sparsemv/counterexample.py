@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
-from .exact import tree_sum, modulus_power
+from .meanvalue import _transform_power_sum
 from .padic import HenselRoot, ScaleSpec, hensel_sqrt_minus_one
 
 DEFAULT_TERM_BUDGET = 10**8
@@ -83,9 +83,7 @@ def sum_norm(fam: CounterexampleFamily, budget: int = DEFAULT_TERM_BUDGET) -> fl
             budget=budget,
         )
     # S(w) = sum_{n<N} e(wn/M): the unnormalised inverse DFT of 1[0 <= n < N]
-    S = np.fft.ifft(np.arange(M) < N, norm="forward")
-    power = modulus_power(S.real**2 + S.imag**2, fam.r)
-    total = float(tree_sum(power))
+    total = _transform_power_sum((M,), (np.arange(N),), 1.0, fam.r)
     # ||sum f||_r^r = N^6 N^(-2) * total = N^4 * total
     return (float(N) ** 4 * total) ** (1.0 / fam.r)
 

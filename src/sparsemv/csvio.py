@@ -100,8 +100,7 @@ def load_coefficients_csv(path) -> CoefficientVector:
             values.append(complex(re, im))
     if not points:
         raise InvalidInputError(f"{path}: no coefficient rows")
-    bound = max(max(pt) for pt in points) + 1
-    domain = IndexDomain(points=tuple(points), scale_bound=bound)
+    domain = IndexDomain(points=tuple(points))
     return CoefficientVector(domain, np.asarray(values, dtype=np.complex128))
 
 

@@ -76,10 +76,9 @@ _BLOCK_BYTES = 1 << 22
 
 @dataclass(frozen=True)
 class IndexDomain:
-    """A finite set of integer d-tuples with its bounding scale."""
+    """A finite set of integer d-tuples."""
 
     points: tuple[tuple[int, ...], ...]
-    scale_bound: int
 
     def __post_init__(self):
         if not self.points:
@@ -105,7 +104,7 @@ class IndexDomain:
         pts = [()]
         for _ in range(d):
             pts = [p + (i,) for p in pts for i in range(N)]
-        return cls(points=tuple(pts), scale_bound=N)
+        return cls(points=tuple(pts))
 
 
 class CoefficientVector:
@@ -242,6 +241,37 @@ def modulate_coefficients(
     return CoefficientVector(coeffs.domain, coeffs.amplitude, tuple(shifts))
 
 
+def _transform_power_sum(
+    shape: Sequence[int], index: tuple[np.ndarray, ...], values, r: float
+) -> float:
+    """sum over the grid of |S|^r, S the unnormalised inverse DFT of the histogram.
+
+    The histogram H[h] = sum {values[i] : index[i] = h} is scattered into a
+    complex array of the given shape, which the inverse FFT overwrites.
+    """
+    cells = math.prod(shape)
+    try:
+        S = np.zeros(shape, dtype=np.complex128)
+        np.add.at(S, index, values)
+        # norm="forward" leaves the inverse transform unscaled: S = T ifftn(H)
+        np.fft.ifftn(S, norm="forward", out=S)
+        parts = S.view(np.float64)  # re, im interleaved
+        parts *= parts
+        a2 = parts[..., 0::2] + parts[..., 1::2]
+        del S, parts
+        power = modulus_power(a2, r)
+        del a2
+        return tree_sum(power)
+    except MemoryError:
+        # peak: the complex transform array plus the float |S|^2 array
+        needed = 24 * cells
+        raise BudgetExceededError(
+            f"grid transform over {cells} cells needs about {needed} "
+            "bytes, more than the machine could allocate",
+            requested=needed,
+        ) from None
+
+
 class _GridSum:
     """Exact-phase grid sums S(iota, v) over the mixed-radix grid prod Z/M_j.
 
@@ -284,29 +314,6 @@ class _GridSum:
     def _roots(self) -> tuple[np.ndarray, ...]:
         """The M_j-th roots of unity for every axis j."""
         return tuple(root_table(m) for m in self.moduli)
-
-    def _transform_power_sum(self, r: float) -> float:
-        """sum over iota of |S(iota)|^r from one histogram and one inverse FFT."""
-        try:
-            S = np.zeros(self.moduli, dtype=np.complex128)
-            np.add.at(S, self._residues, self.base)
-            # norm="forward" leaves the inverse transform unscaled: S = T ifftn(H)
-            np.fft.ifftn(S, norm="forward", out=S)
-            parts = S.view(np.float64)  # re, im interleaved
-            parts *= parts
-            a2 = parts[..., 0::2] + parts[..., 1::2]
-            del S, parts
-            power = modulus_power(a2, r)
-            del a2
-            return tree_sum(power)
-        except MemoryError:
-            # peak: the complex transform array plus the float |S|^2 array
-            needed = 24 * self.total
-            raise BudgetExceededError(
-                f"grid transform over {self.total} cells needs about {needed} "
-                "bytes, more than the machine could allocate",
-                requested=needed,
-            ) from None
 
     def _point_rows(self, lo: int, hi: int) -> np.ndarray:
         """E[iota, n] = a_n prod_j e(iota_j P_j(n) / M_j) for iota in [lo, hi)."""
@@ -367,7 +374,7 @@ class _GridSum:
     ) -> float:
         """sum over iota of |S|^r; with offsets, fsum(w_v * sum_v) of per-offset sums."""
         if offset_factors is None:
-            return self._transform_power_sum(r)
+            return _transform_power_sum(self.moduli, self._residues, self.base, r)
         sums = self.per_offset_power_sum(r, offset_factors)
         return fsum_rows(sums if weights is None else weights * sums)
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
 
@@ -200,9 +200,6 @@ class PhaseComponent:
                     v *= x**exp
             total += v
         return total
-
-    def max_abs_value(self, points: Iterable[Sequence[int]]) -> int:
-        return max(abs(self.evaluate(pt)) for pt in points)
 
 
 @dataclass(frozen=True)

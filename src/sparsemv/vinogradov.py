@@ -3,8 +3,11 @@
 J(s, k, d; N, alpha) counts ordered pairs of s-tuples of field elements
 beta = n_0 + n_1 alpha + ... + n_{d-1} alpha^{d-1}, coordinates in [0, N),
 whose power sums sum_i beta_i^t agree for t = 1..k.  Counting goes through
-exact moment keys: the tuple of power-sum coordinates, hashed without any
-floating content, so multiplicity counting is collision-free.
+exact moment keys: the power-sum coordinates of one element, with no floating
+content.  With H the histogram of single-element keys, the number of s-tuples
+with power-sum key h is the s-fold convolution H^{*s}(h), so
+J = sum_h H^{*s}(h)^2, and the work and memory follow the support of H^{*s}
+instead of the N^(ds) tuples.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -24,9 +28,6 @@ from .numberfield import MinimalPolynomial, field_multiply
 
 DEFAULT_KEY_BUDGET = 10**8
 DEFAULT_PAIR_BUDGET = 10**8
-
-#: Key count above which counting switches from a map to sort-and-run-length.
-SORT_FALLBACK_THRESHOLD = 10**7
 
 
 @dataclass(frozen=True)
@@ -87,33 +88,6 @@ def _single_keys(
     return keys
 
 
-def _tuple_keys(single: list[tuple], s: int):
-    """All ordered s-tuples as componentwise sums of single-element keys."""
-    for combo in product(single, repeat=s):
-        if s == 1:
-            yield combo[0]
-        else:
-            yield tuple(sum(col) for col in zip(*combo))
-
-
-def _count_multiplicity_squares(keys, n_keys: int) -> int:
-    if n_keys > SORT_FALLBACK_THRESHOLD:
-        ordered = sorted(keys)
-        total = 0
-        run = 0
-        prev = object()
-        for key in ordered:
-            if key == prev:
-                run += 1
-            else:
-                total += run * run
-                prev = key
-                run = 1
-        return total + run * run
-    counts = Counter(keys)
-    return sum(c * c for c in counts.values())
-
-
 def count_solutions(
     minpoly: MinimalPolynomial,
     s: int,
@@ -123,7 +97,11 @@ def count_solutions(
     transcendental: bool = False,
     budget: int = DEFAULT_KEY_BUDGET,
 ) -> SolutionCountRecord:
-    """J via moment-key hashing: J = sum over keys of multiplicity^2."""
+    """J = sum over keys h of H^{*s}(h)^2, H the single-element key histogram.
+
+    The budget bounds N^(ds), the number of s-tuples, which also bounds the
+    work of the s - 1 convolutions.
+    """
     if s < 1 or k < 1 or N < 1:
         raise InvalidInputError("s, k, N must be positive")
     d = minpoly.degree
@@ -135,8 +113,15 @@ def count_solutions(
             budget=budget,
         )
     start = time.perf_counter()
-    single = _single_keys(minpoly, k, N, transcendental)
-    J = _count_multiplicity_squares(_tuple_keys(single, s), n_keys)
+    hist = Counter(_single_keys(minpoly, k, N, transcendental))
+    acc = hist
+    for _ in range(s - 1):  # convolve acc with H: keys add, counts multiply
+        nxt: Counter = Counter()
+        for ka, ca in acc.items():
+            for kb, cb in hist.items():
+                nxt[tuple(map(add, ka, kb))] += ca * cb
+        acc = nxt
+    J = sum(c * c for c in acc.values())
     elapsed = time.perf_counter() - start
     return SolutionCountRecord(
         s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="hash", seconds=elapsed
@@ -165,7 +150,8 @@ def count_solutions_brute(
         )
     start = time.perf_counter()
     single = _single_keys(minpoly, k, N, transcendental)
-    tuple_keys = list(_tuple_keys(single, s))
+    # every s-tuple enumerated on its own, independently of the convolution
+    tuple_keys = [tuple(map(sum, zip(*combo))) for combo in product(single, repeat=s)]
     J = 0
     int_ok = all(
         isinstance(v, int) and abs(v) < 2**62 // max(1, s)

@@ -141,6 +141,25 @@ def test_out_of_memory_in_grid_transform_exits_3(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1
     assert "27 cells" in lines[0] and "bytes" in lines[0]
 
+
+def test_out_of_memory_in_counterexample_transform_exits_3(tmp_path, capsys,
+                                                           monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.fft, "ifftn", out_of_memory)
+    code, out, err = run(
+        ["counterexample", "--p", "5", "--kmax", "1", "--r", "4",
+         "--out", str(tmp_path / "cx.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "25 cells" in lines[0] and "bytes" in lines[0]
+
+
 def test_out_of_memory_in_offset_gemm_exits_3(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError

@@ -60,7 +60,6 @@ def test_load_coefficients_header_after_comment(tmp_path):
     path.write_text("# leading comment\nindex,real,imag\n3,1.25,0.0\n")
     vec = load_coefficients_csv(path)
     assert vec.domain.points == ((3,),)
-    assert vec.domain.scale_bound == 4
     assert vec.amplitude[0] == 1.25
 
 

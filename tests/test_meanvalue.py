@@ -534,9 +534,9 @@ def test_corollary_ratio_all_ones_matches_restriction_estimate():
 
 def test_index_domain_validation():
     with pytest.raises(InvalidInputError):
-        IndexDomain(points=(), scale_bound=3)
+        IndexDomain(points=())
     with pytest.raises(InvalidInputError):
-        IndexDomain(points=((0,), (0,)), scale_bound=3)
+        IndexDomain(points=((0,), (0,)))
     box = IndexDomain.box(2, 2)
     assert box.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 

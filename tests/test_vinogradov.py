@@ -88,6 +88,12 @@ def test_hash_equals_brute_on_grid():
                     hash_rec = count_solutions(poly, s, k, N)
                     brute_rec = count_solutions_brute(poly, s, k, N)
                     assert hash_rec.J == brute_rec.J, (poly.coeffs, s, k, N)
+    # s = 3 is the first s at which the key histogram is convolved twice
+    for poly, N_max in ((LINE, 4), (X2P1, 3)):
+        for k in (1, 2, 3):
+            for N in range(2, N_max + 1):
+                assert count_solutions(poly, 3, k, N).J == \
+                    count_solutions_brute(poly, 3, k, N).J, (poly.coeffs, k, N)
 
 
 def test_hash_equals_brute_x3m2_small():
@@ -105,6 +111,7 @@ def test_hash_matches_independent_pair_oracle():
         (X2P1, 2, 3, 3),
         (X2M2, 2, 2, 3),
         (X3M2, 1, 3, 3),
+        (X2P1, 3, 2, 2),
     ]:
         assert count_solutions(poly, s, k, N).J == _direct_pair_count(poly, s, k, N)
 
@@ -135,10 +142,13 @@ def test_transcendental_count_no_more_solutions():
 def test_transcendental_keys_refine_reduced_keys():
     # formal keys determine reduced keys (reduction is linear), so equal
     # formal keys force equal reduced keys tuple-by-tuple, not just in count
-    from sparsemv.vinogradov import _single_keys, _tuple_keys
+    from sparsemv.vinogradov import _single_keys
 
-    formal = list(_tuple_keys(_single_keys(X2P1, 2, 3, True), 2))
-    reduced = list(_tuple_keys(_single_keys(X2P1, 2, 3, False), 2))
+    def pair_keys(single):
+        return [tuple(map(sum, zip(a, b))) for a, b in product(single, repeat=2)]
+
+    formal = pair_keys(_single_keys(X2P1, 2, 3, True))
+    reduced = pair_keys(_single_keys(X2P1, 2, 3, False))
     seen = {}
     for fk, rk in zip(formal, reduced):
         assert seen.setdefault(fk, rk) == rk
@@ -149,14 +159,6 @@ def test_budgets():
         count_solutions(X2P1, 2, 2, 10, budget=10**3)
     with pytest.raises(BudgetExceededError):
         count_solutions_brute(X2P1, 2, 2, 10, budget=10**4)
-
-
-def test_sort_fallback_matches_dict(monkeypatch):
-    import sparsemv.vinogradov as vin
-
-    baseline = count_solutions(LINE, 2, 2, 6).J
-    monkeypatch.setattr(vin, "SORT_FALLBACK_THRESHOLD", 1)
-    assert count_solutions(LINE, 2, 2, 6).J == baseline
 
 
 def test_fit_growth_s1_slope_is_d():
