@@ -32,7 +32,7 @@ from .domains import (
     emit_cell_csv,
     enumerate_cells,
 )
-from .exact import PhaseFraction, compensated_sum, tree_sum, unit_root
+from .exact import PhaseFraction, tree_sum, unit_root
 from .meanvalue import (
     CoefficientVector,
     IndexDomain,
@@ -84,7 +84,6 @@ __all__ = [
     "SparseDomain",
     "build_domain",
     "chi_p",
-    "compensated_sum",
     "corollary_ratio_experiment",
     "count_solutions",
     "count_solutions_brute",

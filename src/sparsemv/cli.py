@@ -75,6 +75,17 @@ def parse_int_list(text: str) -> list[int]:
     return [int(v) for v in values]
 
 
+def _parse_samplers(text: str) -> list[str]:
+    """Comma-separated sampler names; each must be known, and at least one given."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    for name in names:
+        if name not in SAMPLER_NAMES:
+            raise InvalidInputError(f"unknown sampler {name!r}")
+    if not names:
+        raise InvalidInputError(f"no sampler given; choose from {SAMPLER_NAMES}")
+    return names
+
+
 def _config_callback(ctx: click.Context, param, value):
     # Eager: loads key=value defaults so later flags can override them.
     if not value:
@@ -265,25 +276,22 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
 @click.option("--quad-order", type=int, default=4, show_default=True)
 @click.option("--quad-depth", type=int, default=None,
               help="uniform dyadic depth; default = quarter-period rule")
-@click.option("--quad-mode", type=click.Choice(["auto", "gauss", "grid"]),
-              default="auto", show_default=True)
 @common_options
 def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
-            quad_order, quad_depth, quad_mode, out, threads):
+            quad_order, quad_depth, out, threads):
     """Real sparse mean value by cell quadrature (or exact sampling at sigma=0)."""
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
-    quad = QuadratureConfig(order=quad_order, depth=quad_depth, mode=quad_mode)
+    quad = QuadratureConfig(order=quad_order, depth=quad_depth)
     report = real_sparse_mv(system, coeffs, r, scale, sig, quad,
                             budget=budget, threads=threads)
     path = _out_path(out, "mv-real")
-    extra = {"quad_order": quad_order, "quad_depth": quad_depth,
-             "quad_mode": quad_mode}
+    extra = {"quad_order": quad_order, "quad_depth": quad_depth}
     denom, ratio = _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed,
                                 report, coeffs, extra_config=extra)
     click.echo(
         f"mv-real: value={report.value!r} err<={report.quadrature_error_bound!r} "
-        f"-> {path}"
+        f"method={report.method} -> {path}"
     )
 
 
@@ -298,10 +306,12 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
 def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
                        budget, vectors, tol, quad_order, quad_depth, out, threads):
     """Verify real <= sup-of-modulated-p-adic per coefficient vector (exit 2 on failure)."""
+    if vectors < 1:
+        raise InvalidInputError(f"--vectors must be >= 1, got {vectors}")
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     if sampler == "all-ones":
         sampler = "random-phase"  # the check is vacuous with one fixed vector
-    quad = QuadratureConfig(order=quad_order, depth=quad_depth, mode="gauss")
+    quad = QuadratureConfig(order=quad_order, depth=quad_depth)
     rows = []
     failures = 0
     sigma_text = ",".join(str(s) for s in sig.sigma)
@@ -344,11 +354,10 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
 def restriction_estimate(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
                          budget, side, samplers, draws, out, threads):
     """Sampled lower bounds for the optimal restriction constants."""
+    if draws < 1:
+        raise InvalidInputError(f"--draws must be >= 1, got {draws}")
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
-    sampler_list = [s.strip() for s in samplers.split(",") if s.strip()]
-    for name in sampler_list:
-        if name not in SAMPLER_NAMES:
-            raise InvalidInputError(f"unknown sampler {name!r}")
+    sampler_list = _parse_samplers(samplers)
     sides = ["padic", "real"] if side == "both" else [side]
     sigma_text = ",".join(str(s) for s in sig.sigma)
     rows = []
@@ -406,7 +415,7 @@ def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
     sigma_value = parse_rational_list(sigma)[0]
     if sigma_value < 0 or sigma_value > 1:
         raise InvalidInputError("sigma must lie in [0, 1]")
-    sampler_list = [s.strip() for s in samplers.split(",") if s.strip()]
+    sampler_list = _parse_samplers(samplers)
     rows_data = corollary_ratio_experiment(
         p, K_values, sigma_value, r, samplers=sampler_list, seed=seed,
         budget=budget, threads=threads,

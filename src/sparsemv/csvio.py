@@ -12,7 +12,6 @@ import io
 import os
 import stat
 from contextlib import contextmanager
-from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -24,8 +23,6 @@ from .meanvalue import CoefficientVector, IndexDomain
 def format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

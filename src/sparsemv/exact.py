@@ -122,7 +122,8 @@ def extract_partials(x: np.ndarray) -> np.ndarray:
     """Exact partial sums of a 1-d or 2-d float64 x along axis 0, as rows.
 
     It consumes x: the caller hands over an array it no longer reads, and
-    no copy is made.  :func:`exact_partials` is the non-consuming form.
+    no copy is made.  The rows of several chunks of the same terms may be
+    concatenated before :func:`fsum_rows` rounds them once.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008): for n terms take
@@ -169,17 +170,6 @@ def _fsum(terms: list[float]) -> float:
             return math.inf if total > 0 else -math.inf
 
 
-def exact_partials(values: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Rows whose exact sum along axis 0 is the exact sum of real ``values``.
-
-    ``axis=None`` sums all of ``values``; ``axis=0`` sums each column of a
-    2-d array.  The rows of several chunks of the same terms may be
-    concatenated before :func:`fsum_rows` rounds them once.
-    """
-    x = np.array(values, dtype=np.float64)
-    return extract_partials(x.ravel() if axis is None else x)
-
-
 def fsum_rows(rows: np.ndarray) -> float | np.ndarray:
     """math.fsum down 1-d rows, or down each column of 2-d rows."""
     if rows.ndim == 1:
@@ -201,9 +191,6 @@ def tree_sum(values: np.ndarray | Iterable) -> complex | float:
     if np.iscomplexobj(arr):
         return complex(_total(arr.real), _total(arr.imag))
     return _total(arr)
-
-
-compensated_sum = tree_sum
 
 
 def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:

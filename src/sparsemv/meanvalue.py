@@ -62,6 +62,7 @@ from .exact import (
 from .numberfield import PhaseSystem
 from .padic import ScaleSpec
 from .quadrature import (
+    NODE_BUDGET,
     QuadratureConfig,
     node_count,
     resolve_depths,
@@ -165,7 +166,6 @@ class MeanValueReport:
     r: float
     method: str
     quadrature_error_bound: float
-    normalization_note: str = "includes N^(sum sigma_j) prefactor"
 
     def __post_init__(self):
         if not (math.isfinite(self.value) and self.value >= 0.0):
@@ -368,15 +368,9 @@ class _GridSum:
             ) from None
         return fsum_rows(partials)
 
-    def weighted_power_sum(
-        self, r: float, offset_factors: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-    ) -> float:
-        """sum over iota of |S|^r; with offsets, fsum(w_v * sum_v) of per-offset sums."""
-        if offset_factors is None:
-            return _transform_power_sum(self.moduli, self._residues, self.base, r)
-        sums = self.per_offset_power_sum(r, offset_factors)
-        return fsum_rows(sums if weights is None else weights * sums)
+    def weighted_power_sum(self, r: float) -> float:
+        """sum over iota of |S(iota)|^r, by the transform."""
+        return _transform_power_sum(self.moduli, self._residues, self.base, r)
 
 
 def _offset_factors(
@@ -482,7 +476,12 @@ def real_sparse_mv(
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
 ) -> MeanValueReport:
-    """Real mean value over the sparse domain (see module docs for methods)."""
+    """Real mean value over the sparse domain (see module docs for methods).
+
+    The exact grid ("real-exact") runs at sigma = 0 with an even integer r
+    when its prod_j L_j samples fit NODE_BUDGET; every other input runs Gauss
+    cells ("real-gauss").
+    """
     _check_exponent(r)
     quad = quad or QuadratureConfig()
     domain = build_domain(scale, sigma, system.degrees)
@@ -491,38 +490,24 @@ def real_sparse_mv(
     # for even r, |f|^r has axis-j frequencies up to (r/2)(max P_j - min P_j),
     # so the average over a grid one finer is the exact integral (module docs)
     moduli = [(int(r) // 2) * (max(vals) - min(vals)) + 1 for vals in phase_vals]
+    size = math.prod(moduli)
     canonical = all(s == 0 for s in sigma.sigma)
     even = float(r).is_integer() and int(r) % 2 == 0
-    mode = quad.mode
-    if mode == "auto":
-        use_grid = canonical and even and math.prod(moduli) <= quad.node_budget
-        mode = "grid" if use_grid else "gauss"
-    if mode == "grid":
-        if not canonical:
-            raise InvalidInputError("exact grid integration requires sigma = 0")
-        if not even:
-            raise InvalidInputError(
-                f"exact grid integration requires an even integer r, got {r}"
-            )
-        size = math.prod(moduli)
-        if size > quad.node_budget:
-            raise BudgetExceededError(
-                f"exact grid needs {size} samples, over budget {quad.node_budget}",
-                requested=size,
-                budget=quad.node_budget,
-            )
+    if canonical and even and size <= NODE_BUDGET:
         grid = _GridSum(system, coeffs, moduli, threads=threads, phase_vals=phase_vals)
         value = grid.weighted_power_sum(r) / size
         # rounding-level estimate: the transform leaves O(log T) ulps per sample
         err = value * 4e-15 * math.log2(size + 2)
+        method = "real-exact"
     else:
         grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads,
                         phase_vals=phase_vals)
         value, err, _, _, _ = _real_gauss(grid, r, scale, sigma, domain, quad)
+        method = "real-gauss"
     return MeanValueReport(
         value=value,
         r=r,
-        method="real-quadrature",
+        method=method,
         quadrature_error_bound=err,
     )
 
@@ -544,15 +529,14 @@ def _real_gauss(
     widths = [2 * h for h in domain.cell_halfwidths]
     depths = resolve_depths(quad, widths, max_abs)
     fine_depths = tuple(s + 1 for s in depths)
-    for level in (depths, fine_depths):
-        nodes = node_count(level, quad.order)
-        if nodes * domain.total_cells > quad.node_budget:
-            raise BudgetExceededError(
-                f"{nodes * domain.total_cells} node evaluations exceed budget "
-                f"{quad.node_budget}",
-                requested=nodes * domain.total_cells,
-                budget=quad.node_budget,
-            )
+    # the fine level has the more nodes of the two
+    evaluations = node_count(fine_depths, quad.order) * domain.total_cells
+    if evaluations > NODE_BUDGET:
+        raise BudgetExceededError(
+            f"{evaluations} node evaluations exceed budget {NODE_BUDGET}",
+            requested=evaluations,
+            budget=NODE_BUDGET,
+        )
     results = []
     for level in (depths, fine_depths):
         offsets, weights = tensor_offsets(domain.cell_halfwidths, level, quad.order)
@@ -569,7 +553,6 @@ def transfer_check(
     r: float,
     scale: ScaleSpec,
     sigma: LocalizationVector,
-    grid: np.ndarray | None = None,
     quad: QuadratureConfig | None = None,
     tol: float = 1e-6,
     *,
@@ -578,10 +561,10 @@ def transfer_check(
 ) -> TransferReport:
     """Per-coefficient transference: real value <= sup of modulated p-adic values.
 
-    The default grid is the fine-level quadrature node set, for which the real
-    value is a positively weighted average of the p-adic values at the grid
-    points, so the comparison is guaranteed up to quadrature error.  Both
-    sides then read the same fine-level per-offset sums.
+    The grid is the fine-level quadrature node set, for which the real value
+    is a positively weighted average of the p-adic values at the grid points,
+    so the comparison is guaranteed up to quadrature error.  Both sides read
+    the same fine-level per-offset sums.
     """
     _check_exponent(r)
     quad = quad or QuadratureConfig()
@@ -589,9 +572,6 @@ def transfer_check(
     _check_cell_budget(domain, budget)
     gs = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
     real_value, qerr, _, _, sums = _real_gauss(gs, r, scale, sigma, domain, quad)
-    if grid is not None:  # an explicit grid gets its own per-offset pass
-        factors = _offset_factors(gs.phase_vals, np.asarray(grid, dtype=np.float64))
-        sums = gs.per_offset_power_sum(r, factors)
     exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
     prefactor = float(_scale_power(scale, exponent))
     padic_sup = float(prefactor * sums.max())

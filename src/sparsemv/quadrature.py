@@ -18,25 +18,25 @@ import numpy as np
 from .errors import InvalidInputError
 
 
+#: Cap on exact-grid samples and on Gauss node evaluations (nodes x cells).
+NODE_BUDGET = 2 * 10**8
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Controls for real-domain cell integration.
+    """Gauss-Legendre order and uniform dyadic depth of real cell integration.
 
-    mode "auto" picks the exact sampling path at canonical scale (sigma = 0)
-    with an even integer exponent, and Gauss cells otherwise; "gauss" and
-    "grid" force one path.  depth None means the per-axis quarter-period rule.
+    depth None means the per-axis quarter-period rule.
     """
 
     order: int = 4
-    depth: int | tuple[int, ...] | None = None
-    mode: str = "auto"
-    node_budget: int = 2 * 10**8
+    depth: int | None = None
 
     def __post_init__(self):
         if self.order < 1:
             raise InvalidInputError("quadrature order must be >= 1")
-        if self.mode not in ("auto", "gauss", "grid"):
-            raise InvalidInputError(f"unknown quadrature mode {self.mode!r}")
+        if self.depth is not None and self.depth < 0:
+            raise InvalidInputError(f"quadrature depth must be >= 0, got {self.depth}")
 
 
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,11 +65,7 @@ def resolve_depths(
 ) -> tuple[int, ...]:
     if config.depth is None:
         return quarter_period_depths(widths, max_abs_phase)
-    if isinstance(config.depth, int):
-        return (config.depth,) * len(widths)
-    if len(config.depth) != len(widths):
-        raise InvalidInputError("per-axis depth length does not match components")
-    return tuple(int(s) for s in config.depth)
+    return (config.depth,) * len(widths)
 
 
 def tensor_offsets(

@@ -65,6 +65,20 @@ def test_hensel_bad_prime_exit_1(capsys):
     ["hensel", "--p", "5", "--K", "2", "--threads", "-3"],
     ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
      "--threads", "0"],
+    ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "3",
+     "--quad-depth", "-1"],
+    ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+     "--vectors", "1", "--quad-depth", "-1"],
+    ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+     "--vectors", "0"],
+    ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+     "--vectors", "-2"],
+    ["restriction-estimate", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--draws", "0"],
+    ["restriction-estimate", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--samplers", ","],
+    ["corollary-ratio", "--p", "3", "--K-list", "1", "--sigma", "0", "--r", "4",
+     "--samplers", ""],
 ])
 def test_bad_exponent_or_threads_exit_1_one_line(args, tmp_path, capsys):
     code, _, err = run(args + ["--out", str(tmp_path / "o.csv")], capsys)
@@ -362,7 +376,7 @@ def test_offset_outputs_do_not_depend_on_thread_settings(tmp_path):
         ["transfer-check", "--p", "3", "--K", "2", "--sigma", "0,1", "--r", "4",
          "--vectors", "2", "--seed", "5"],
         ["mv-real", "--p", "5", "--K", "2", "--sigma", "0,1/2", "--r", "3",
-         "--sampler", "random-phase", "--seed", "5", "--quad-mode", "gauss"],
+         "--sampler", "random-phase", "--seed", "5"],
     ]
     script = (
         "import sys, json\n"

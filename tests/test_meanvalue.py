@@ -10,7 +10,7 @@ import pytest
 
 from sparsemv.domains import LocalizationVector
 from sparsemv.errors import BudgetExceededError, InvalidInputError
-from sparsemv.exact import unit_root
+from sparsemv.exact import fsum_rows, unit_root
 from sparsemv.meanvalue import (
     CoefficientVector,
     IndexDomain,
@@ -207,9 +207,9 @@ def test_padic_budget():
 # --- transform path against the direct evaluator and mpmath ------------------
 
 def _direct_power_sum(grid, r):
-    """The offset engine (one GEMM per row block) at a single zero offset of
-    unit weight: the same sum without the transform."""
-    return grid.weighted_power_sum(r, np.ones((1, len(grid.base))), np.ones(1))
+    """The offset engine (one GEMM per row block) at a single zero offset:
+    the same sum without the transform."""
+    return grid.per_offset_power_sum(r, np.ones((1, len(grid.base))))[0]
 
 
 @pytest.mark.parametrize("system, p, K, sig", [
@@ -245,8 +245,8 @@ def test_real_exact_grid_transform_matches_direct_evaluator(system, p, K):
         "random-phase", IndexDomain.box(scale.N, system.dimension), seed=37
     )
     sig = _sigma(*([0] * len(system.components)))
-    report = real_sparse_mv(system, coeffs, float(r), scale, sig,
-                            QuadratureConfig(mode="grid"))
+    report = real_sparse_mv(system, coeffs, float(r), scale, sig)
+    assert report.method == "real-exact"
     phase_rows = [[c.evaluate(pt) for pt in coeffs.domain.points]
                   for c in system.components]
     moduli = [(r // 2) * (max(row) - min(row)) + 1 for row in phase_rows]
@@ -312,26 +312,56 @@ def test_real_grid_path_matches_exact_counts():
         report = real_sparse_mv(system, coeffs, r, scale, _sigma(*sig))
         expected = exact_solution_count(system, N, int(r) // 2)
         assert report.value == pytest.approx(float(expected), rel=1e-9)
-        assert report.method == "real-quadrature"
+        assert report.method == "real-exact"
+
+
+def _gauss_at(system, coeffs, r, scale, sig):
+    """(value, error) of the two-level Gauss path, whatever real_sparse_mv picks."""
+    domain = build_domain(scale, sig, system.degrees)
+    grid = _GridSum(system, coeffs, domain.cell_counts)
+    value, err, _, _, _ = _real_gauss(grid, r, scale, sig, domain, QuadratureConfig())
+    return value, err
 
 
 def test_real_gauss_matches_grid_at_canonical_scale():
     scale = ScaleSpec(p=3, K=1)
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
-    grid = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0),
-                          QuadratureConfig(mode="grid"))
-    gauss = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0),
-                           QuadratureConfig(mode="gauss"))
-    assert gauss.value == pytest.approx(grid.value, rel=1e-6)
-    assert gauss.quadrature_error_bound < 1e-6 * grid.value
+    grid = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    assert grid.method == "real-exact"
+    gauss, err = _gauss_at(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    assert gauss == pytest.approx(grid.value, rel=1e-6)
+    assert err < 1e-6 * grid.value
+
+
+def test_real_method_follows_sigma_exponent_and_budget(monkeypatch):
+    # the exact grid runs only at sigma = 0 with an even integer r; every
+    # other input runs Gauss cells
+    scale = ScaleSpec(p=3, K=1)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=61)
+    cases = [((0, 0), 4.0, "real-exact"), ((0, 1), 4.0, "real-gauss"),
+             ((0, 0), 3.0, "real-gauss"), ((0, 0), 4.5, "real-gauss")]
+    for sig, r, method in cases:
+        assert real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(*sig)).method == method
+    # r = 100 at N = 3: the exact grid needs 101 x 201 = 20301 samples and the
+    # fine Gauss level 27 cells x 512 nodes = 13824 evaluations
+    ones = CoefficientVector.ones(IndexDomain.box(3, 1))
+    sig = _sigma(0, 0)
+    assert real_sparse_mv(PARABOLA, ones, 100.0, scale, sig).method == "real-exact"
+    monkeypatch.setattr(meanvalue, "NODE_BUDGET", 15000)
+    over = real_sparse_mv(PARABOLA, ones, 100.0, scale, sig)
+    assert over.method == "real-gauss"
+    assert over.value == _gauss_at(PARABOLA, ones, 100.0, scale, sig)[0]
+    monkeypatch.setattr(meanvalue, "NODE_BUDGET", 3000)
+    with pytest.raises(BudgetExceededError):
+        real_sparse_mv(PARABOLA, ones, 100.0, scale, sig)
 
 
 def test_real_single_point_max_localization():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("single-point", domain, seed=0)
-    report = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(1, 2),
-                            QuadratureConfig(mode="gauss"))
+    report = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(1, 2))
+    assert report.method == "real-gauss"
     assert report.value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -349,8 +379,8 @@ def test_real_non_even_exponent_against_riemann_oracle():
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=21)
     r = 2.5
-    report = real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(0, 0),
-                            QuadratureConfig(mode="gauss"))
+    report = real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(0, 0))
+    assert report.method == "real-gauss"
     M = 420
     xs = (np.arange(M) + 0.5) / M
     values = coeffs.values()
@@ -541,25 +571,6 @@ def test_index_domain_validation():
     assert box.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def test_grid_mode_requires_sigma_zero():
-    scale = ScaleSpec(p=3, K=1)
-    coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
-    with pytest.raises(InvalidInputError):
-        real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1),
-                       QuadratureConfig(mode="grid"))
-
-
-def test_grid_mode_requires_even_integer_exponent():
-    # the grid is exact only for even integer r; odd or fractional r once ran
-    # with int(r) and reported the wrong value with a rounding-level bound
-    scale = ScaleSpec(p=3, K=1)
-    coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
-    for r in (3.0, 4.5):
-        with pytest.raises(InvalidInputError):
-            real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(0, 0),
-                           QuadratureConfig(mode="grid"))
-
-
 def test_threads_do_not_change_values():
     scale = ScaleSpec(p=3, K=2)
     domain = IndexDomain.box(9, 1)
@@ -600,7 +611,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
             grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
             per_offset = grid.per_offset_power_sum(4.0, factors)
             assert per_offset.tolist() == expected_columns
-            assert grid.weighted_power_sum(4.0, factors, weights) == expected_total
+            assert fsum_rows(weights * per_offset) == expected_total
         columns_by_rows[rows] = np.array(expected_columns)
     for columns in columns_by_rows.values():
         np.testing.assert_allclose(columns, columns_by_rows[default_rows], rtol=1e-13)
@@ -670,30 +681,11 @@ def test_offset_sums_match_direct_oracle(system, p, K, sig):
     rows = _direct_abs_squared(system, coeffs, domain.cell_counts, offsets)
     for r in (3.0, 4.0, 5.0):
         expected = _direct_offset_sums(rows, r)
-        np.testing.assert_allclose(
-            grid.per_offset_power_sum(r, factors), expected, rtol=1e-12
-        )
-        assert grid.weighted_power_sum(r, factors, weights) == pytest.approx(
+        sums = grid.per_offset_power_sum(r, factors)
+        np.testing.assert_allclose(sums, expected, rtol=1e-12)
+        assert fsum_rows(weights * sums) == pytest.approx(
             math.fsum(w * e for w, e in zip(weights, expected)), rel=1e-12
         )
-
-
-def test_transfer_check_explicit_grid_matches_direct_oracle():
-    # an explicit grid that is not the node set gets its own per-offset pass
-    scale = ScaleSpec(p=3, K=2)
-    sig = _sigma(0, 1)
-    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=53)
-    domain = build_domain(scale, sig, PARABOLA.degrees)
-    offsets = _random_offsets(domain.cell_halfwidths, 4, seed=59)
-    default = transfer_check(PARABOLA, coeffs, 3.0, scale, sig)
-    report = transfer_check(PARABOLA, coeffs, 3.0, scale, sig, grid=offsets)
-    rows = _direct_abs_squared(PARABOLA, coeffs, domain.cell_counts, offsets)
-    prefactor = 9.0 ** ((0 - 1) + (1 - 2))  # N^(sum_j sigma_j - deg_j)
-    expected_sup = prefactor * max(_direct_offset_sums(rows, 3.0))
-    assert report.grid_size == 4
-    assert report.padic_sup_over_grid == pytest.approx(expected_sup, rel=1e-12)
-    assert report.real_value == default.real_value
-    assert report.padic_sup_over_grid != default.padic_sup_over_grid
 
 
 def test_phase_values_evaluated_once_per_call(monkeypatch):
