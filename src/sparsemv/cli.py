@@ -53,6 +53,13 @@ class VerificationFailure(Exception):
     """A verification command produced a failing pass flag."""
 
 
+def _echo(message: str, err: bool = False) -> None:
+    # An explicit stream: for an implicit one click caches a wrapper in a map
+    # whose values keep their keys alive, so every stdout that an in-process
+    # caller swaps in would stay alive.
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def parse_rational_list(text: str) -> list[Fraction]:
     """Parse comma-separated rationals "a" or "a/b"; rejects zero denominators."""
     out = []
@@ -160,7 +167,7 @@ def cli():
 def hensel(p, K, out, threads):
     """Print the canonical square root of -1 modulo p**K."""
     root = hensel_sqrt_minus_one(p, K)
-    click.echo(str(root.xi))
+    _echo(str(root.xi))
 
 
 @cli.command()
@@ -179,7 +186,7 @@ def traces(minpoly, kappa_max, out, threads):
     csvio.write_csv(path, ["kappa", "trace"], rows,
                     {"command": "traces", "minpoly": poly.format(),
                      "kappa_max": kappa_max})
-    click.echo(f"traces: wrote {len(rows)} rows to {path}")
+    _echo(f"traces: wrote {len(rows)} rows to {path}")
 
 
 @cli.command(name="phase-system")
@@ -194,7 +201,7 @@ def phase_system(minpoly, k, out, threads):
     path = _out_path(out, "phase-system")
     csvio.write_csv(path, ["j", "ell", "multiindex", "coefficient", "component_scale"],
                     rows, {"command": "phase-system", "minpoly": poly.format(), "k": k})
-    click.echo(
+    _echo(
         f"phase-system: {len(system.components)} components, "
         f"{len(rows)} terms -> {path}"
     )
@@ -215,7 +222,7 @@ def domain_cells(p, K, degrees, sigma, budget, out, threads):
     domain = build_domain(scale, sig, degree_list)
     path = _out_path(out, "domain-cells")
     count = emit_cell_csv(domain, path, budget=budget)
-    click.echo(
+    _echo(
         f"domain-cells: {count} cells, measure {domain.measure} -> {path}"
     )
 
@@ -268,7 +275,7 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
     extra = {"precision": precision} if precision is not None else None
     denom, ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
                                 report, coeffs, extra_config=extra)
-    click.echo(f"mv-padic: value={report.value!r} ratio={ratio!r} -> {path}")
+    _echo(f"mv-padic: value={report.value!r} ratio={ratio!r} -> {path}")
 
 
 @cli.command(name="mv-real")
@@ -289,7 +296,7 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
     extra = {"quad_order": quad_order, "quad_depth": quad_depth}
     denom, ratio = _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed,
                                 report, coeffs, extra_config=extra)
-    click.echo(
+    _echo(
         f"mv-real: value={report.value!r} err<={report.quadrature_error_bound!r} "
         f"method={report.method} -> {path}"
     )
@@ -337,7 +344,7 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
          "r": r, "sampler": sampler, "seed": seed, "vectors": n_vectors,
          "tol": tol, "quad_order": quad_order, "quad_depth": quad_depth},
     )
-    click.echo(
+    _echo(
         f"transfer-check: {n_vectors - failures}/{n_vectors} passed -> {path}"
     )
     if failures:
@@ -354,8 +361,6 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
 def restriction_estimate(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
                          budget, side, samplers, draws, out, threads):
     """Sampled lower bounds for the optimal restriction constants."""
-    if draws < 1:
-        raise InvalidInputError(f"--draws must be >= 1, got {draws}")
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     sampler_list = _parse_samplers(samplers)
     sides = ["padic", "real"] if side == "both" else [side]
@@ -397,7 +402,7 @@ def restriction_estimate(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
     summary = " ".join(
         f"{name}>={est.value!r}({est.best_sampler})" for name, est in estimates.items()
     )
-    click.echo(f"restriction-estimate: {summary} -> {path}")
+    _echo(f"restriction-estimate: {summary} -> {path}")
 
 
 @cli.command(name="corollary-ratio")
@@ -432,7 +437,7 @@ def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
                      "K_list": ",".join(str(k) for k in K_values),
                      "sigma": sigma_value, "r": r,
                      "samplers": ",".join(sampler_list), "seed": seed})
-    click.echo(f"corollary-ratio: {len(rows)} rows -> {path}")
+    _echo(f"corollary-ratio: {len(rows)} rows -> {path}")
 
 
 def _vinogradov_rows(records, timings):
@@ -480,9 +485,9 @@ def vinogradov_cmd(minpoly, d, s, k, N_list, method, transcendental, budget,
                      "k": k, "N": ",".join(str(n) for n in N_values),
                      "method": method, "transcendental": transcendental})
     if len(records) == 1:
-        click.echo(f"J={records[0].J}")
+        _echo(f"J={records[0].J}")
     else:
-        click.echo(f"vinogradov: {len(records)} rows -> {path}")
+        _echo(f"vinogradov: {len(records)} rows -> {path}")
 
 
 @cli.command(name="vinogradov-fit")
@@ -511,7 +516,7 @@ def vinogradov_fit(minpoly, s, k, N_list, budget, out, threads):
         {"command": "vinogradov-fit", "minpoly": poly.format(), "s": s, "k": k,
          "N": ",".join(str(n) for n in N_values)},
     )
-    click.echo(
+    _echo(
         f"vinogradov-fit: slope={fit.slope!r} envelope={fit.envelope_exponent!r} "
         f"-> {path}"
     )
@@ -552,7 +557,7 @@ def counterexample_cmd(p, kmax, r_list, budget, out, threads):
     summary = " ".join(
         f"r={r}:sum_slope={s1:.4f},ratio_slope={s2:.4f}" for r, s1, s2 in slopes
     )
-    click.echo(f"counterexample: {summary or f'{len(rows)} rows'} -> {path}")
+    _echo(f"counterexample: {summary or f'{len(rows)} rows'} -> {path}")
 
 
 def main(argv=None) -> int:
@@ -561,13 +566,13 @@ def main(argv=None) -> int:
         cli.main(args=argv, standalone_mode=False)
         return 0
     except VerificationFailure as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        _echo(f"verification failed: {exc}", err=True)
         return 2
     except BudgetExceededError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
+        _echo(f"budget exceeded: {exc}", err=True)
         return 3
     except InvalidInputError as exc:
-        click.echo(f"invalid input: {exc}", err=True)
+        _echo(f"invalid input: {exc}", err=True)
         return 1
     except click.exceptions.Exit as exc:
         return exc.exit_code

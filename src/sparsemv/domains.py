@@ -9,10 +9,10 @@ N^(-sum sigma_j).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -97,6 +97,8 @@ def build_domain(
 ) -> SparseDomain:
     """Exact descriptor of the sparse domain for the given degrees."""
     degrees = tuple(int(d) for d in degrees)
+    if not degrees:
+        raise InvalidInputError("a domain needs at least one component degree")
     if any(d < 1 for d in degrees):
         raise InvalidInputError("component degrees must be positive")
     sigma = sigma.validated(scale, degrees)
@@ -116,14 +118,7 @@ def build_domain(
     )
 
 
-def cell_center(domain: SparseDomain, iota: Sequence[int]) -> tuple[Fraction, ...]:
-    return tuple(i * sp for i, sp in zip(iota, domain.spacings))
-
-
-def enumerate_cells(
-    domain: SparseDomain, budget: int = DEFAULT_CELL_BUDGET
-) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...]]]:
-    """Yield (iota, center, halfwidths) in lexicographic iota order."""
+def _check_budget(domain: SparseDomain, budget: int) -> None:
     total = domain.total_cells
     if total > budget:
         raise BudgetExceededError(
@@ -131,21 +126,59 @@ def enumerate_cells(
             requested=total,
             budget=budget,
         )
+
+
+def enumerate_cells(
+    domain: SparseDomain, budget: int = DEFAULT_CELL_BUDGET
+) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """Yield (iota, center, halfwidths) in lexicographic iota order."""
+    _check_budget(domain, budget)
+    spacings, halfwidths = domain.spacings, domain.cell_halfwidths
     for iota in product(*(range(c) for c in domain.cell_counts)):
-        yield iota, cell_center(domain, iota), domain.cell_halfwidths
+        yield iota, tuple(i * sp for i, sp in zip(iota, spacings)), halfwidths
+
+
+# Rows per block of last-axis strings in emit_cell_csv; the block is the
+# writer's only buffer, so memory does not grow with the cell count.
+_BLOCK_ROWS = 4096
+
+
+def _center_text(i: int, count: int) -> str:
+    # str(Fraction(i, count)): the center of cell i on an axis of count cells.
+    g = math.gcd(i, count)
+    return str(i // g) if g == count else f"{i // g}/{count // g}"
+
+
+def _axis_block(count: int, start: int) -> list[tuple[str, str]]:
+    """(iota, center) strings of cells start.. of one block on a count-cell axis."""
+    return [
+        (str(i), _center_text(i, count))
+        for i in range(start, min(start + _BLOCK_ROWS, count))
+    ]
 
 
 def emit_cell_csv(domain: SparseDomain, path, budget: int = DEFAULT_CELL_BUDGET) -> int:
-    """Write one row per cell; returns the row count."""
+    """Write one row per cell in lexicographic iota order; returns the row count.
+
+    The rows are what csv.writer writes for (iota..., center..., halfwidth...)
+    with exact rational centers: comma-separated, ending in "\\r\\n".  The
+    budget is checked before the file is opened, so an over-budget call leaves
+    an existing file as it was.
+    """
+    _check_budget(domain, budget)
     k = len(domain.degrees)
-    header = (
+    *outer, last = domain.cell_counts
+    header = ",".join(
         [f"iota_{j + 1}" for j in range(k)]
         + [f"center_{j + 1}" for j in range(k)]
         + [f"halfwidth_{j + 1}" for j in range(k)]
     )
+    suffix = "".join(f",{h}" for h in domain.cell_halfwidths) + "\r\n"
+    # Every prefix of outer indices reuses the last axis's block strings; the
+    # cache misses only when that axis runs over more than one block.
+    block = lru_cache(maxsize=1)(partial(_axis_block, last))
     from .csvio import _open_overwrite  # deferred: csvio imports this module
 
-    rows = 0
     with _open_overwrite(path) as fh:
         fh.write(
             "# domain cells: p=%d K=%d sigma=%s degrees=%s\n"
@@ -156,13 +189,11 @@ def emit_cell_csv(domain: SparseDomain, path, budget: int = DEFAULT_CELL_BUDGET)
                 ",".join(str(d) for d in domain.degrees),
             )
         )
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for iota, center, halfwidth in enumerate_cells(domain, budget=budget):
-            writer.writerow(
-                [str(i) for i in iota]
-                + [str(c) for c in center]
-                + [str(h) for h in halfwidth]
-            )
-            rows += 1
-    return rows
+        fh.write(header + "\r\n")
+        for prefix in product(*(range(c) for c in outer)):
+            head = "".join(f"{i}," for i in prefix)
+            mid = "".join(f"{_center_text(i, c)}," for i, c in zip(prefix, outer))
+            for start in range(0, last, _BLOCK_ROWS):
+                rows = [f"{head}{i},{mid}{c}{suffix}" for i, c in block(start)]
+                fh.write("".join(rows))
+    return domain.total_cells

@@ -653,6 +653,10 @@ def estimate_restriction_constant(
     """
     if side not in ("padic", "real"):
         raise InvalidInputError("side must be 'padic' or 'real'")
+    if not samplers:
+        raise InvalidInputError(f"no sampler given; choose from {SAMPLER_NAMES}")
+    if draws < 1:
+        raise InvalidInputError(f"draws must be >= 1, got {draws}")
     rows = []
     best = (-math.inf, "", -1)
     for sampler in samplers:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -129,6 +133,7 @@ def test_domain_cells_and_budget(tmp_path, capsys):
     )
     assert code == 0
     assert len(read_rows(out_file)) == 1 + 9
+    before = out_file.read_bytes()
     code, _, err = run(
         ["domain-cells", "--p", "3", "--K", "1", "--degrees", "1,2",
          "--sigma", "0,0", "--budget", "5", "--out", str(out_file)],
@@ -136,6 +141,7 @@ def test_domain_cells_and_budget(tmp_path, capsys):
     )
     assert code == 3
     assert "budget" in err
+    assert out_file.read_bytes() == before  # checked before the file is opened
 
 
 
@@ -362,6 +368,23 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("args, stream", [
+    (["hensel", "--p", "5", "--K", "2"], "stdout"),
+    (["hensel", "--p", "10", "--K", "2"], "stderr"),
+])
+def test_in_process_call_keeps_no_output_stream_alive(args, stream):
+    buf = io.StringIO()
+    redirect = (contextlib.redirect_stdout if stream == "stdout"
+                else contextlib.redirect_stderr)
+    with redirect(buf):
+        main(args)
+    assert buf.getvalue()
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
 
 
 def test_help_exits_zero(capsys):

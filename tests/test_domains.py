@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from sparsemv import domains
 from sparsemv.domains import (
     LocalizationVector,
     build_domain,
@@ -48,6 +52,8 @@ def test_invalid_sigma_rejected():
         _domain(3, 1, (1, 2), (0, 3))  # sigma_2 > degree
     with pytest.raises(InvalidInputError):
         _domain(3, 1, (1, 2), (0,))  # wrong length
+    with pytest.raises(InvalidInputError):
+        _domain(3, 1, (), ())  # no axis
 
 
 def test_fractional_sigma_with_matching_K():
@@ -154,3 +160,48 @@ def test_emit_single_cell(tmp_path):
     dom = _domain(5, 1, (2,), (2,))
     path = tmp_path / "one.csv"
     assert emit_cell_csv(dom, path) == 1
+
+
+def _oracle_cell_csv(dom):
+    """csv.writer over itertools.product with exact Fraction centers."""
+    buf = io.StringIO(newline="")
+    buf.write(
+        "# domain cells: p=%d K=%d sigma=%s degrees=%s\n"
+        % (dom.scale.p, dom.scale.K,
+           ",".join(str(s) for s in dom.sigma.sigma),
+           ",".join(str(d) for d in dom.degrees))
+    )
+    k = len(dom.degrees)
+    writer = csv.writer(buf)
+    writer.writerow([f"iota_{j + 1}" for j in range(k)]
+                    + [f"center_{j + 1}" for j in range(k)]
+                    + [f"halfwidth_{j + 1}" for j in range(k)])
+    for iota in product(*(range(c) for c in dom.cell_counts)):
+        centers = [Fraction(i, c) for i, c in zip(iota, dom.cell_counts)]
+        writer.writerow([str(i) for i in iota] + [str(c) for c in centers]
+                        + [str(h) for h in dom.cell_halfwidths])
+    return buf.getvalue().encode("utf-8")
+
+
+# With 7-row blocks every last axis longer than 7 cells runs over several
+# blocks, rebuilt for each prefix, and ends in a short block.
+@pytest.mark.parametrize("block_rows", [None, 7])
+@pytest.mark.parametrize("p, K, degrees, sigma", [
+    (2, 3, (2,), (1,)),                                # k = 1
+    (5, 1, (1,), (0,)),                                # k = 1, p = 5
+    (3, 2, (1, 2), (0, 1)),                            # k = 2
+    (3, 2, (1, 2), (0, 2)),                            # one-cell last axis
+    (2, 2, (1, 2), (1, Fraction(1, 2))),               # one-cell first axis
+    (5, 2, (1, 2), (0, Fraction(1, 2))),               # fractional sigma, p = 5
+    (3, 1, (1, 2, 3), (0, 1, 1)),                      # k = 3
+    (2, 2, (1, 1, 2), (Fraction(1, 2), 0, Fraction(3, 2))),  # k = 3, fractional
+])
+def test_emit_cell_csv_matches_csv_writer_oracle(
+        tmp_path, monkeypatch, block_rows, p, K, degrees, sigma):
+    if block_rows is not None:
+        monkeypatch.setattr(domains, "_BLOCK_ROWS", block_rows)
+    dom = _domain(p, K, degrees, sigma)
+    path = tmp_path / "cells.csv"
+    assert emit_cell_csv(dom, path) == dom.total_cells
+    assert path.read_bytes() == _oracle_cell_csv(dom)
+

@@ -518,6 +518,15 @@ def test_restriction_all_ones_padic_side_congruence_ratio():
     assert est.value == pytest.approx(161.0 / 9.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("samplers, draws", [((), 4), (("random-phase",), 0)])
+def test_restriction_rejects_no_sampler_or_no_draw(samplers, draws):
+    with pytest.raises(InvalidInputError):
+        estimate_restriction_constant(
+            PARABOLA, IndexDomain.box(3, 1), 4.0, ScaleSpec(p=3, K=1),
+            _sigma(0, 1), samplers=samplers, draws=draws,
+        )
+
+
 def test_epsilon_factors_bounds():
     scale = ScaleSpec(p=3, K=2)
     domain = IndexDomain.box(9, 1)
