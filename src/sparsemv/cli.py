@@ -94,9 +94,18 @@ def _parse_samplers(text: str) -> list[str]:
 
 
 def _config_callback(ctx: click.Context, param, value):
-    # Eager: loads key=value defaults so later flags can override them.
+    # Eager: loads key=value defaults so later flags can override them.  A key
+    # names a parameter of the command or one of its long flags without the
+    # dashes (so "N" and "N_list" both set vinogradov's --N).
     if not value:
         return None
+    names = {}
+    for other in ctx.command.params:
+        if other is not param:
+            names[other.name] = other.name
+            for opt in other.opts:
+                if opt.startswith("--"):
+                    names[opt[2:].replace("-", "_")] = other.name
     defaults = {}
     path = Path(value)
     if not path.exists():
@@ -108,7 +117,12 @@ def _config_callback(ctx: click.Context, param, value):
         if "=" not in line:
             raise InvalidInputError(f"{value}:{lineno}: expected key=value")
         key, _, raw = line.partition("=")
-        defaults[key.strip().replace("-", "_")] = raw.strip()
+        name = names.get(key.strip().replace("-", "_"))
+        if name is None:
+            raise InvalidInputError(
+                f"{value}:{lineno}: {ctx.info_name} has no option {key.strip()!r}"
+            )
+        defaults[name] = raw.strip()
     ctx.default_map = {**(ctx.default_map or {}), **defaults}
     return value
 
@@ -141,8 +155,7 @@ def _out_path(out: str | None, command: str) -> Path:
 
 def _load_coeffs(sampler, seed, draw, coeffs_file, domain) -> CoefficientVector:
     if coeffs_file is not None:
-        loaded = csvio.load_coefficients_csv(coeffs_file)
-        return loaded
+        return csvio.load_coefficients_csv(coeffs_file)
     return sample_coefficients(sampler, domain, seed, draw)
 
 
@@ -155,7 +168,28 @@ def _mv_context(minpoly, k, p, K, sigma_text):
     return poly, system, scale, sigma, domain
 
 
-@click.group()
+def _show_help(ctx: click.Context, param, value):
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose --help prints through _echo (click's own help option
+    echoes to an implicit stream)."""
+
+    def get_help_option(self, ctx):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def cli():
     """Exponential-sum mean values on sparse p-adically shaped domains."""
 
@@ -236,19 +270,29 @@ def _mv_common_options(fn):
     fn = click.option("--K", "K", type=int, required=True)(fn)
     fn = click.option("--sigma", required=True)(fn)
     fn = click.option("--r", type=float, required=True)(fn)
-    fn = click.option("--sampler", default="all-ones", show_default=True,
-                      type=click.Choice(SAMPLER_NAMES))(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--coeffs-file", type=click.Path(exists=True), default=None,
-                      help="coefficient CSV (index-dash-joined, real, imag)")(fn)
     fn = click.option("--budget", type=int, default=10**8, show_default=True)(fn)
     return fn
+
+
+def _coefficient_options(fn):
+    """The one coefficient vector of mv-padic, mv-real and transfer-check."""
+    fn = click.option("--sampler", default="all-ones", show_default=True,
+                      type=click.Choice(SAMPLER_NAMES))(fn)
+    fn = click.option("--coeffs-file", type=click.Path(exists=True), default=None,
+                      help="coefficient CSV (index-dash-joined, real, imag)")(fn)
+    return fn
+
+
+def _ratio(value: float, denom: float) -> float:
+    # An all-zero coefficient vector has denominator 0.
+    return value / denom if denom else math.inf
 
 
 def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, report, coeffs,
                  extra_config=None):
     denom = coeffs.ell_r(r)
-    ratio = report.value / denom if denom else math.inf
+    ratio = _ratio(report.value, denom)
     sigma_text = ",".join(str(s) for s in sigma.sigma)
     row = [command, scale.p, scale.K, sigma_text, r, sampler, seed,
            report.value, denom, ratio, report.quadrature_error_bound]
@@ -261,25 +305,24 @@ def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, report, coeffs,
 
 @cli.command(name="mv-padic")
 @_mv_common_options
-@click.option("--precision", type=int, default=None,
-              help="mantissa bits; above 53 switches to the slow exact path")
+@_coefficient_options
 @common_options
 def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
-             precision, out, threads):
+             out, threads):
     """p-adic short mean value via the exact cell-grid sum."""
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
     report = padic_short_mv(system, coeffs, r, scale, sig,
-                            budget=budget, threads=threads, precision=precision)
+                            budget=budget, threads=threads)
     path = _out_path(out, "mv-padic")
-    extra = {"precision": precision} if precision is not None else None
     denom, ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
-                                report, coeffs, extra_config=extra)
+                                report, coeffs)
     _echo(f"mv-padic: value={report.value!r} ratio={ratio!r} -> {path}")
 
 
 @cli.command(name="mv-real")
 @_mv_common_options
+@_coefficient_options
 @click.option("--quad-order", type=int, default=4, show_default=True)
 @click.option("--quad-depth", type=int, default=None,
               help="uniform dyadic depth; default = quarter-period rule")
@@ -304,6 +347,7 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
 
 @cli.command(name="transfer-check")
 @_mv_common_options
+@_coefficient_options
 @click.option("--vectors", type=int, default=50, show_default=True,
               help="number of sampled coefficient vectors")
 @click.option("--tol", type=float, default=1e-6, show_default=True)
@@ -330,7 +374,7 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
         denom = coeffs.ell_r(r)
         rows.append([
             "transfer-check", scale.p, scale.K, sigma_text, r, sampler, seed,
-            rep.real_value, denom, rep.real_value / denom,
+            rep.real_value, denom, _ratio(rep.real_value, denom),
             rep.quadrature_error_bound, draw, rep.padic_sup_over_grid,
             int(rep.passed), rep.grid_size,
         ])
@@ -358,8 +402,8 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
 @click.option("--samplers", default=",".join(SAMPLER_NAMES), show_default=True)
 @click.option("--draws", type=int, default=4, show_default=True)
 @common_options
-def restriction_estimate(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
-                         budget, side, samplers, draws, out, threads):
+def restriction_estimate(minpoly, k, p, K, sigma, r, seed, budget, side, samplers,
+                         draws, out, threads):
     """Sampled lower bounds for the optimal restriction constants."""
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     sampler_list = _parse_samplers(samplers)
@@ -440,14 +484,6 @@ def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
     _echo(f"corollary-ratio: {len(rows)} rows -> {path}")
 
 
-def _vinogradov_rows(records, timings):
-    return [
-        [rec.d, rec.s, rec.k, rec.N, rec.minpoly.format(), rec.J, rec.method,
-         round(rec.seconds, 3) if timings else 0.0]
-        for rec in records
-    ]
-
-
 @cli.command(name="vinogradov")
 @click.option("--minpoly", required=True)
 @click.option("--d", type=int, default=None,
@@ -460,11 +496,9 @@ def _vinogradov_rows(records, timings):
 @click.option("--transcendental", is_flag=True, default=False,
               help="count with a formal (transcendental) generator")
 @click.option("--budget", type=int, default=10**8, show_default=True)
-@click.option("--timings/--no-timings", default=False, show_default=True,
-              help="record wall time (breaks byte-reproducibility)")
 @common_options
 def vinogradov_cmd(minpoly, d, s, k, N_list, method, transcendental, budget,
-                   timings, out, threads):
+                   out, threads):
     """Count Vinogradov-system solutions with algebraic indeterminates."""
     poly = MinimalPolynomial.parse(minpoly)
     if d is not None and d != poly.degree:
@@ -479,8 +513,9 @@ def vinogradov_cmd(minpoly, d, s, k, N_list, method, transcendental, budget,
         for N in N_values
     ]
     path = _out_path(out, "vinogradov")
-    csvio.write_csv(path, ["d", "s", "k", "N", "minpoly", "J", "method", "seconds"],
-                    _vinogradov_rows(records, timings),
+    csvio.write_csv(path, ["d", "s", "k", "N", "minpoly", "J", "method"],
+                    [[rec.d, rec.s, rec.k, rec.N, rec.minpoly.format(), rec.J,
+                      rec.method] for rec in records],
                     {"command": "vinogradov", "minpoly": poly.format(), "s": s,
                      "k": k, "N": ",".join(str(n) for n in N_values),
                      "method": method, "transcendental": transcendental})
@@ -576,8 +611,12 @@ def main(argv=None) -> int:
         return 1
     except click.exceptions.Exit as exc:
         return exc.exit_code
+    except click.exceptions.NoArgsIsHelpError as exc:
+        _echo(exc.format_message(), err=True)
+        return 1
     except click.ClickException as exc:
-        exc.show()
+        # usage errors too: one line, not click's usage block
+        _echo(f"invalid input: {exc.format_message()}", err=True)
         return 1
     except click.Abort:
         return 1

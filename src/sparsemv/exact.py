@@ -18,9 +18,6 @@ import numpy as np
 
 RationalLike = Union[int, Fraction, "PhaseFraction"]
 
-#: Default number of mantissa bits of the working precision.
-DEFAULT_PRECISION = 53
-
 
 class PhaseFraction:
     """An exact rational phase reduced into [0, 1).
@@ -73,22 +70,11 @@ class PhaseFraction:
         return f"PhaseFraction({self.value})"
 
 
-def unit_root(q: RationalLike | float, precision: int | None = None):
-    """Return e(q) = exp(2*pi*i*q).
-
-    With ``precision`` unset (or <= 53) the result is a Python complex with
-    components accurate to a couple of ulps, comfortably inside the
-    2**-(precision-4) relative-error contract.  Larger precisions are served
-    by mpmath and return an ``mpmath.mpc``.
-    """
+def unit_root(q: RationalLike | float) -> complex:
+    """Return e(q) = exp(2*pi*i*q) as a Python complex whose components are
+    accurate to a couple of ulps."""
     if isinstance(q, PhaseFraction):
         q = q.value
-    if precision is not None and precision > DEFAULT_PRECISION:
-        import mpmath
-
-        with mpmath.workprec(precision):
-            two_q = mpmath.mpf(2) * mpmath.mpmathify(q)
-            return mpmath.mpc(mpmath.cospi(two_q), mpmath.sinpi(two_q))
     # Exact quadrant reduction keeps the evaluated angle below pi/2, where a
     # single libm call stays within ~1 ulp; the quadrant rotation is exact.
     if isinstance(q, (int, Fraction)):

@@ -405,24 +405,13 @@ def padic_short_mv(
     *,
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
-    precision: int | None = None,
 ) -> MeanValueReport:
     """The p-adic short mean value as an exact finite sum (see module docs)."""
     _check_exponent(r)
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)
-    if precision is not None and precision > 53:
-        total = domain.total_cells * len(coeffs.domain)
-        if total > 2 * 10**6:
-            raise BudgetExceededError(
-                f"high-precision path limited to 2e6 evaluations, got {total}",
-                requested=total,
-                budget=2 * 10**6,
-            )
-        power_sum = _padic_power_sum_mp(system, coeffs, domain, r, precision)
-    else:
-        grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
-        power_sum = grid.weighted_power_sum(r)
+    grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
+    power_sum = grid.weighted_power_sum(r)
     exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
     prefactor = _scale_power(scale, exponent)
     return MeanValueReport(
@@ -431,38 +420,6 @@ def padic_short_mv(
         method="padic-exact",
         quadrature_error_bound=0.0,
     )
-
-
-def _padic_power_sum_mp(
-    system: PhaseSystem,
-    coeffs: CoefficientVector,
-    domain: SparseDomain,
-    r: float,
-    precision: int,
-) -> float:
-    """Slow high-precision evaluation used when the CLI raises the precision."""
-    import mpmath
-    from itertools import product as iproduct
-
-    phase_vals = _phase_values(system, coeffs.domain)
-    moduli = domain.cell_counts
-    with mpmath.workprec(precision):
-        base = []
-        for idx, a in enumerate(coeffs.amplitude):
-            z = mpmath.mpc(a.real, a.imag)
-            if coeffs.phase_shift is not None:
-                z *= unit_root(coeffs.phase_shift[idx], precision=precision)
-            base.append(z)
-        total = mpmath.mpf(0)
-        for iota in iproduct(*(range(m) for m in moduli)):
-            s = mpmath.mpc(0)
-            for n, a in enumerate(base):
-                q = Fraction(0)
-                for j, m in enumerate(moduli):
-                    q += Fraction(iota[j] * phase_vals[j][n], m)
-                s += a * unit_root(q % 1, precision=precision)
-            total += mpmath.power(abs(s), r)
-        return float(total)
 
 
 def real_sparse_mv(

@@ -13,7 +13,6 @@ instead of the N^(ds) tuples.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,6 @@ class SolutionCountRecord:
     minpoly: MinimalPolynomial
     J: int
     method: str
-    seconds: float = 0.0
 
     def __post_init__(self):
         if self.J < self.N ** (self.d * self.s):
@@ -112,7 +110,6 @@ def count_solutions(
             requested=n_keys,
             budget=budget,
         )
-    start = time.perf_counter()
     hist = Counter(_single_keys(minpoly, k, N, transcendental))
     acc = hist
     for _ in range(s - 1):  # convolve acc with H: keys add, counts multiply
@@ -122,10 +119,7 @@ def count_solutions(
                 nxt[tuple(map(add, ka, kb))] += ca * cb
         acc = nxt
     J = sum(c * c for c in acc.values())
-    elapsed = time.perf_counter() - start
-    return SolutionCountRecord(
-        s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="hash", seconds=elapsed
-    )
+    return SolutionCountRecord(s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="hash")
 
 
 def count_solutions_brute(
@@ -148,7 +142,6 @@ def count_solutions_brute(
             requested=n_tuples * n_tuples,
             budget=budget,
         )
-    start = time.perf_counter()
     single = _single_keys(minpoly, k, N, transcendental)
     # every s-tuple enumerated on its own, independently of the convolution
     tuple_keys = [tuple(map(sum, zip(*combo))) for combo in product(single, repeat=s)]
@@ -169,10 +162,7 @@ def count_solutions_brute(
             for b in tuple_keys:
                 if a == b:
                     J += 1
-    elapsed = time.perf_counter() - start
-    return SolutionCountRecord(
-        s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="brute", seconds=elapsed
-    )
+    return SolutionCountRecord(s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="brute")
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,20 @@ def test_hensel_bad_prime_exit_1(capsys):
      "--samplers", ","],
     ["corollary-ratio", "--p", "3", "--K-list", "1", "--sigma", "0", "--r", "4",
      "--samplers", ""],
+    # removed options, a missing or bad option and an unknown command are
+    # usage errors: one line too, not click's usage block
+    ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--precision", "100"],
+    ["vinogradov", "--minpoly", "0", "--s", "2", "--k", "2", "--N", "4",
+     "--timings"],
+    ["restriction-estimate", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--sampler", "single-point"],
+    ["restriction-estimate", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--coeffs-file", __file__],
+    ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0"],
+    ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+     "--sampler", "no-such-sampler"],
+    ["no-such-command"],
 ])
 def test_bad_exponent_or_threads_exit_1_one_line(args, tmp_path, capsys):
     code, _, err = run(args + ["--out", str(tmp_path / "o.csv")], capsys)
@@ -216,8 +230,8 @@ def test_vinogradov_example(tmp_path, capsys):
     assert code == 0
     assert "J=28" in out
     rows = read_rows(out_file)
-    assert rows[1][:7] == ["1", "2", "2", "4", "-1", "28", "hash"]
-    assert rows[1][7] == "0.0"  # timings off by default for reproducibility
+    assert rows[0] == ["d", "s", "k", "N", "minpoly", "J", "method"]
+    assert rows[1] == ["1", "2", "2", "4", "-1", "28", "hash"]
 
 
 def test_vinogradov_d_mismatch_exit_1(capsys):
@@ -289,6 +303,20 @@ def test_transfer_check_pass_and_forced_failure(tmp_path, capsys):
     assert "verification failed" in err
 
 
+def test_transfer_check_all_zero_coefficients(tmp_path, capsys):
+    coeffs = tmp_path / "zeros.csv"
+    coeffs.write_text("index,real,imag\n0,0.0,0.0\n1,0.0,0.0\n2,0.0,0.0\n")
+    out_file = tmp_path / "tc.csv"
+    code, _, err = run(
+        ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+         "--coeffs-file", str(coeffs), "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0, err
+    row = read_rows(out_file)[1]
+    assert row[7:10] == ["0.0", "0.0", "inf"]  # value, denominator, ratio
+
+
 def test_restriction_estimate_both_sides(tmp_path, capsys):
     out_file = tmp_path / "re.csv"
     code, out, _ = run(
@@ -348,6 +376,31 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert out.strip() == "2"  # flag overrides config
 
 
+def test_config_key_may_name_the_flag(tmp_path, capsys):
+    # vinogradov's --N is the parameter N_list; both names are keys
+    for key in ("N", "N_list"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"minpoly=0\ns=2\nk=2\n{key}=4,8\n")
+        out_file = tmp_path / f"{key}.csv"
+        code, _, _ = run(["vinogradov", "--config", str(cfg),
+                          "--out", str(out_file)], capsys)
+        assert code == 0
+        assert [row[5] for row in read_rows(out_file)[1:]] == ["28", "120"]
+
+
+@pytest.mark.parametrize("line", ["sigm=0,1", "precisoin=100", "precision=100",
+                                  "help=true"])
+def test_config_unknown_key_exit_1(line, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"p=3\nK=1\nsigma=0,0\nr=4\n{line}\n")
+    code, _, err = run(["mv-padic", "--config", str(cfg),
+                        "--out", str(tmp_path / "mv.csv")], capsys)
+    assert code == 1
+    key = line.partition("=")[0]
+    assert err == f"invalid input: {cfg}:5: mv-padic has no option {key!r}\n"
+    assert not (tmp_path / "mv.csv").exists()
+
+
 def test_coeffs_file_roundtrip(tmp_path, capsys):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text("index,real,imag\n0,1.0,0.0\n1,0.0,0.0\n2,0.0,0.0\n")
@@ -373,6 +426,9 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("args, stream", [
     (["hensel", "--p", "5", "--K", "2"], "stdout"),
     (["hensel", "--p", "10", "--K", "2"], "stderr"),
+    (["--help"], "stdout"),
+    (["mv-padic", "--help"], "stdout"),
+    ([], "stderr"),
 ])
 def test_in_process_call_keeps_no_output_stream_alive(args, stream):
     buf = io.StringIO()
@@ -390,6 +446,24 @@ def test_in_process_call_keeps_no_output_stream_alive(args, stream):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["mv-padic", "--help"]) == 0
+
+
+def test_mean_values_run_without_mpmath(tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"  # any import of mpmath now fails
+        "from sparsemv.cli import main\n"
+        "for argv in (['mv-padic', '--sigma', '0,0'],\n"
+        "             ['mv-real', '--sigma', '0,1'],\n"
+        "             ['transfer-check', '--sigma', '0,1', '--vectors', '2']):\n"
+        "    argv += ['--p', '3', '--K', '1', '--r', '3', '--out', sys.argv[1]]\n"
+        "    assert main(argv) == 0, argv\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")],
+                   env=env, check=True, capture_output=True, timeout=120)
 
 
 def test_offset_outputs_do_not_depend_on_thread_settings(tmp_path):

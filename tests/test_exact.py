@@ -34,14 +34,6 @@ def test_unit_root_modulus_one():
         assert abs(abs(z) - 1.0) <= 4 * ULP
 
 
-def test_unit_root_high_precision():
-    import mpmath
-
-    with mpmath.workprec(150):
-        z = unit_root(Fraction(1, 3), precision=150)
-        assert abs(z**3 - 1) < mpmath.mpf(2) ** -(150 - 4)
-
-
 rationals = st.fractions(
     min_value=0, max_value=1, max_denominator=10**6
 )

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -188,13 +189,47 @@ def test_padic_scaling_covariance():
     assert scaled == pytest.approx(abs(0.5 - 1.25j) ** 4 * base, rel=1e-9)
 
 
+def _mpmath_padic_mv(system, coeffs, r, scale, sigma, prec=100):
+    """High-precision oracle for the p-adic short mean value
+
+        N^(sum_j (sigma_j - deg_j)) sum_iota |sum_n a_n e(sum_j iota_j P_j(n)/M_j)|^r
+
+    with M_j = p^(K (deg_j - sigma_j)): phases P_j(n) from
+    PhaseComponent.evaluate, reduced as exact Fractions, then mpmath unit
+    roots and sums at ``prec`` bits.  Shares no code with meanvalue."""
+    p, K = scale.p, scale.K
+    degrees = [c.degree for c in system.components]
+    moduli = [p ** int((d - s) * K) for d, s in zip(degrees, sigma.sigma)]
+    P = [[c.evaluate(pt) for pt in coeffs.domain.points] for c in system.components]
+    roots = {}
+    with mpmath.workprec(prec):
+        def e(q):
+            if q not in roots:
+                roots[q] = mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator)
+            return roots[q]
+
+        base = [mpmath.mpc(a.real, a.imag) for a in coeffs.amplitude]
+        if coeffs.phase_shift is not None:
+            base = [b * e(Fraction(t) % 1) for b, t in zip(base, coeffs.phase_shift)]
+        total = mpmath.mpf(0)
+        for iota in product(*(range(m) for m in moduli)):
+            inner = mpmath.mpc(0)
+            for n, a in enumerate(base):
+                q = sum(Fraction(i * P[j][n], m)
+                        for j, (i, m) in enumerate(zip(iota, moduli))) % 1
+                inner += a * e(q)
+            total += abs(inner) ** r
+        exponent = K * sum(s - d for d, s in zip(degrees, sigma.sigma))
+        return float(mpmath.mpf(p) ** int(exponent) * total)
+
+
 def test_padic_high_precision_path_agrees():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=4)
     fast = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
-    slow = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0), precision=100)
-    assert slow.value == pytest.approx(fast.value, rel=1e-12)
+    slow = _mpmath_padic_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    assert slow == pytest.approx(fast.value, rel=1e-12)
 
 
 def test_padic_budget():
@@ -259,8 +294,27 @@ def test_padic_transform_matches_mpmath_number_field_localized():
     coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 2), seed=41)
     sig = _sigma(0, 0, 1, 1)
     fast = padic_short_mv(GAUSSIAN, coeffs, 5.0, scale, sig)
-    slow = padic_short_mv(GAUSSIAN, coeffs, 5.0, scale, sig, precision=80)
-    assert fast.value == pytest.approx(slow.value, rel=1e-12)
+    slow = _mpmath_padic_mv(GAUSSIAN, coeffs, 5.0, scale, sig, prec=80)
+    assert fast.value == pytest.approx(slow, rel=1e-12)
+
+
+@pytest.mark.parametrize("system, p, K, sig", [
+    (MOMENT3, 3, 1, (0, 0, 0)),
+    (MOMENT3, 3, 2, (0, 1, 2)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 0, 0, 0)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 1, 1, 1)),
+])
+@pytest.mark.parametrize("r", [3.0, 4.5])
+def test_padic_transform_matches_mpmath_oracle(system, p, K, sig, r):
+    # at most 6561 cell-point terms per case
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        "random-phase", IndexDomain.box(scale.N, system.dimension), seed=53
+    )
+    fast = padic_short_mv(system, coeffs, r, scale, _sigma(*sig))
+    assert fast.value == pytest.approx(
+        _mpmath_padic_mv(system, coeffs, r, scale, _sigma(*sig)), rel=1e-12
+    )
 
 
 # --- modulation ---------------------------------------------------------------
