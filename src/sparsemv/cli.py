@@ -159,6 +159,15 @@ def _load_coeffs(sampler, seed, draw, coeffs_file, domain) -> CoefficientVector:
     return sample_coefficients(sampler, domain, seed, draw)
 
 
+def _coefficient_source(sampler, seed, coeffs_file) -> tuple[str, object, dict]:
+    """The sampler and seed columns of a row, and the config entries, that
+    name where the coefficients came from: a file overrides the sampler and
+    the seed, so neither is recorded then."""
+    if coeffs_file is not None:
+        return "file", "", {"coeffs_file": coeffs_file}
+    return sampler, seed, {"sampler": sampler, "seed": seed}
+
+
 def _mv_context(minpoly, k, p, K, sigma_text):
     poly = MinimalPolynomial.parse(minpoly)
     system = expand_trace_phase(poly, k)
@@ -289,15 +298,16 @@ def _ratio(value: float, denom: float) -> float:
     return value / denom if denom else math.inf
 
 
-def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, report, coeffs,
-                 extra_config=None):
+def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, coeffs_file,
+                 report, coeffs, extra_config=None):
     denom = coeffs.ell_r(r)
     ratio = _ratio(report.value, denom)
     sigma_text = ",".join(str(s) for s in sigma.sigma)
+    sampler, seed, source = _coefficient_source(sampler, seed, coeffs_file)
     row = [command, scale.p, scale.K, sigma_text, r, sampler, seed,
            report.value, denom, ratio, report.quadrature_error_bound]
     config = {"command": command, "p": scale.p, "K": scale.K,
-              "sigma": sigma_text, "r": r, "sampler": sampler, "seed": seed}
+              "sigma": sigma_text, "r": r, **source}
     config.update(extra_config or {})
     csvio.write_csv(path, MV_HEADER, [row], config)
     return denom, ratio
@@ -309,15 +319,19 @@ def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, report, coeffs,
 @common_options
 def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
              out, threads):
-    """p-adic short mean value via the exact cell-grid sum."""
+    """p-adic short mean value: an exact count for even r and Gaussian-integer
+    coefficients, else the exact cell-grid sum by transform."""
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
     report = padic_short_mv(system, coeffs, r, scale, sig,
                             budget=budget, threads=threads)
     path = _out_path(out, "mv-padic")
     denom, ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
-                                report, coeffs)
-    _echo(f"mv-padic: value={report.value!r} ratio={ratio!r} -> {path}")
+                                coeffs_file, report, coeffs)
+    _echo(
+        f"mv-padic: value={report.value!r} ratio={ratio!r} "
+        f"method={report.method} -> {path}"
+    )
 
 
 @cli.command(name="mv-real")
@@ -338,7 +352,7 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
     path = _out_path(out, "mv-real")
     extra = {"quad_order": quad_order, "quad_depth": quad_depth}
     denom, ratio = _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed,
-                                report, coeffs, extra_config=extra)
+                                coeffs_file, report, coeffs, extra_config=extra)
     _echo(
         f"mv-real: value={report.value!r} err<={report.quadrature_error_bound!r} "
         f"method={report.method} -> {path}"
@@ -362,6 +376,7 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     if sampler == "all-ones":
         sampler = "random-phase"  # the check is vacuous with one fixed vector
+    row_sampler, row_seed, source = _coefficient_source(sampler, seed, coeffs_file)
     quad = QuadratureConfig(order=quad_order, depth=quad_depth)
     rows = []
     failures = 0
@@ -373,7 +388,7 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
                              budget=budget, threads=threads)
         denom = coeffs.ell_r(r)
         rows.append([
-            "transfer-check", scale.p, scale.K, sigma_text, r, sampler, seed,
+            "transfer-check", scale.p, scale.K, sigma_text, r, row_sampler, row_seed,
             rep.real_value, denom, _ratio(rep.real_value, denom),
             rep.quadrature_error_bound, draw, rep.padic_sup_over_grid,
             int(rep.passed), rep.grid_size,
@@ -385,7 +400,7 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
         MV_HEADER + ["draw", "padic_sup", "passed", "grid_size"],
         rows,
         {"command": "transfer-check", "p": p, "K": K, "sigma": sigma_text,
-         "r": r, "sampler": sampler, "seed": seed, "vectors": n_vectors,
+         "r": r, **source, "vectors": n_vectors,
          "tol": tol, "quad_order": quad_order, "quad_depth": quad_depth},
     )
     _echo(

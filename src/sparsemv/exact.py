@@ -1,4 +1,4 @@
-"""Exact phase arithmetic and exact, order-independent summation.
+"""Exact phase arithmetic, exact order-independent summation, exact counting.
 
 Phases are tracked as exact rationals modulo 1; floating point enters only
 when a phase is finally turned into a point on the unit circle.  Every large
@@ -6,6 +6,13 @@ reduction splits its terms by error-free extraction into a few partial sums
 that numpy forms without rounding, then rounds them once with math.fsum, so
 each total is the correctly rounded sum of its terms and does not depend on
 their order or on how the work was chunked or parallelised.
+
+Integer-valued sums of squares of convolution powers, sum_h |H^{*s}(h)|^2,
+are counted with no floating point at all (:func:`convolution_counts`): each
+key vector is packed into one integer by mixed radix (Kronecker
+substitution), so adding keys is adding codes, and each convolution pass is an
+outer sum of codes and an outer product of weights, grouped by a sort and
+``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,17 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 RationalLike = Union[int, Fraction, "PhaseFraction"]
+
+#: Byte target of one block of intermediate terms: the cells x offsets
+#: samples of a grid-sum block, or the pair terms of one convolution chunk.
+_BLOCK_BYTES = 1 << 22
+
+#: Largest radix product packed into one int64 code word, so that the sum of
+#: two codes cannot overflow.
+_WORD_LIMIT = 1 << 62
 
 
 class PhaseFraction:
@@ -192,3 +209,237 @@ def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:
         out = np.log(abs_squared)
     out *= half
     return np.exp(out, out=out)
+
+
+def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool]:
+    """The real and (when nonzero) imaginary parts of Gaussian-integer weights.
+
+    With m the largest |Re w| or |Im w| times their count, at least the mass
+    sum |Re w| + |Im w|, m^s bounds every value of every convolution power:
+    the parts are int64 when m^s stays below 2^62, and Python ints otherwise.
+    The flag says whether m^(2s), which bounds the final sum of squares,
+    reaches 2^62.
+    """
+    w = np.ascontiguousarray(weights)
+    flat = w.view(np.float64) if w.dtype.kind == "c" else w  # re, im interleaved
+    if flat.dtype.kind == "f":
+        if np.abs(flat).max(initial=0.0) < _WORD_LIMIT:  # False for nan
+            ints = flat.astype(np.int64)
+            exact = (ints == flat).all()
+        else:
+            values = flat.tolist()
+            exact = all(x.is_integer() for x in values)
+            ints = np.array([int(x) for x in values] if exact else [], dtype=object)
+        if not exact:
+            raise InvalidInputError("convolution weights must be Gaussian integers")
+    else:
+        ints = flat if flat.dtype == object else flat.astype(np.int64)
+    parts = [ints[0::2], ints[1::2]] if w.dtype.kind == "c" else [ints]
+    if len(parts) == 2 and not parts[1].any():
+        parts.pop()
+    bound = int(np.abs(ints).max(initial=0)) * len(ints)
+    if bound**s >= _WORD_LIMIT:
+        parts = [part.astype(object) for part in parts]
+    return parts, bound ** (2 * s) >= _WORD_LIMIT
+
+
+def _word_groups(radices: list[int]) -> tuple[list[list[int]], type]:
+    """Axis groups packed into one code word each, and the words' dtype.
+
+    One int64 word when the radix product fits, several (greedy groups)
+    when every single radix fits, else one word of Python ints.
+    """
+    if math.prod(radices) <= _WORD_LIMIT:
+        return [list(range(len(radices)))], np.int64
+    if max(radices) > _WORD_LIMIT:
+        return [list(range(len(radices)))], object
+    groups, size = [[]], 1
+    for axis, radix in enumerate(radices):
+        if size * radix > _WORD_LIMIT:
+            groups.append([])
+            size = 1
+        groups[-1].append(axis)
+        size *= radix
+    return groups, np.int64
+
+
+def _pack(digits, groups, radices) -> list[np.ndarray]:
+    """Mixed-radix code words of the per-axis digits (Horner order)."""
+    words = []
+    for group in groups:
+        word = digits[group[0]]
+        for axis in group[1:]:
+            word = word * radices[axis] + digits[axis]
+        words.append(word)
+    return words
+
+
+def _unpack(words, groups, radices) -> list[np.ndarray]:
+    """The per-axis digits of mixed-radix code words."""
+    digits = [None] * len(radices)
+    for word, group in zip(words, groups):
+        for axis in reversed(group):
+            digits[axis] = word % radices[axis]
+            word = word // radices[axis]
+    return digits
+
+
+def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each value among the distinct values, and their number."""
+    order = np.argsort(values)
+    ranks = np.empty(len(values), dtype=np.int64)
+    ordered = values[order]
+    ranks[order] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
+    return ranks, int(ranks.max()) + 1
+
+
+def _joint_code(words: list[np.ndarray]) -> np.ndarray:
+    """One int64 code per row that is equal exactly where all words are."""
+    if len(words) == 1:
+        return words[0]
+    code, size = np.zeros(len(words[0]), dtype=np.int64), 1
+    for word in words:
+        rank, width = _rank(word)
+        if size * width > _WORD_LIMIT:
+            code, size = _rank(code)
+        code = code * width + rank
+        size *= width
+    return code
+
+
+def _sort_reduce(words, parts):
+    """Sum the weight parts over equal codes: one entry per distinct code."""
+    n = len(parts[0])
+    if n == 0:
+        return words, parts
+    code = _joint_code(words)
+    order = code.argsort()
+    code = code[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    first = order[starts]
+    return ([word[first] for word in words],
+            [np.add.reduceat(part[order], starts) for part in parts])
+
+
+def _concat_reduce(pieces):
+    """One sort-reduced histogram of several (words, parts) pieces."""
+    if len(pieces) == 1:
+        return pieces[0]
+    words = [np.concatenate(ws) for ws in zip(*(p[0] for p in pieces))]
+    parts = [np.concatenate(ps) for ps in zip(*(p[1] for p in pieces))]
+    return _sort_reduce(words, parts)
+
+
+def _outer_products(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+    """Products of every weight of a with every weight of b, row-major."""
+    if len(b) == 1:
+        return [np.multiply.outer(a[0], b[0]).ravel()]
+    re = np.multiply.outer(a[0], b[0]) - np.multiply.outer(a[1], b[1])
+    im = np.multiply.outer(a[0], b[1]) + np.multiply.outer(a[1], b[0])
+    return [re.ravel(), im.ravel()]
+
+
+def convolution_counts(
+    keys, weights, s: int, moduli=None, max_work=None
+) -> int | None:
+    """sum_h |G(h)|^2 for G = H^{*s}, H[h] = sum {weights[i] : keys[i] = h}.
+
+    ``keys`` holds the k coordinates of the n keys as k integer arrays, one
+    per axis (int64, or Python ints in object arrays), and ``weights`` n
+    Gaussian integers.  Without moduli the convolution is acyclic on Z^k;
+    with moduli M_j it is cyclic on prod Z/M_j.  The result is an exact
+    Python int.  With ``max_work``, the result is None, and no pair is
+    formed, when the work bound W = sum_{t=1}^{s-1} min(|H|^t, prod M_j) |H|
+    read from the histogram exceeds it.
+
+    Each key is shifted by its axis minimum and packed by mixed radix, axis
+    j with radix s * span_j + 1 (acyclic), so a sum of at most s packed keys
+    never carries, or M_j (cyclic), folding digits mod M_j after every pass,
+    so the support never exceeds prod M_j.  Each of the s - 1 passes forms
+    the outer sum of codes with H's and the outer product of weights, in
+    chunks of about _BLOCK_BYTES, and merges the chunks by the same sort and
+    ``np.add.reduceat``.  Work is sum_t |H^{*t}| |H| over the passes.
+    """
+    if s < 1:
+        raise InvalidInputError(f"convolution power must be >= 1, got {s}")
+    columns = [np.asarray(col) for col in keys]
+    if any(col.shape != (len(weights),) for col in columns):
+        raise InvalidInputError("every key axis needs one coordinate per weight")
+    if not len(weights):
+        return 0
+    parts, wide_squares = _integer_parts(weights, s)
+    if moduli is None:
+        lows = [int(col.min()) for col in columns]
+        radices = [s * (int(col.max()) - low) + 1 for col, low in zip(columns, lows)]
+    else:
+        radices = [int(m) for m in moduli]
+    groups, dtype = _word_groups(radices)
+    if dtype is object:
+        columns = [col.astype(object) for col in columns]
+    if moduli is None:
+        digits = [col - low for col, low in zip(columns, lows)]
+    else:
+        digits = [col % radix for col, radix in zip(columns, radices)]
+    digits = [d.astype(dtype, copy=False) for d in digits]
+    words, parts = _sort_reduce(_pack(digits, groups, radices), parts)
+    keep = parts[0] != 0  # keys whose weights cancelled are not in H
+    for part in parts[1:]:
+        keep |= part != 0
+    hist = [word[keep] for word in words], [part[keep] for part in parts]
+    support = len(hist[1][0])
+    if max_work is not None:
+        cap = math.prod(radices) if moduli is not None else math.inf
+        if sum(min(support**t, cap) * support for t in range(1, s)) > max_work:
+            return None
+    if not support:
+        return 0
+    # cyclic passes add digits and fold them; acyclic passes add codes
+    hist_digits = _unpack(hist[0], groups, radices) if moduli is not None else None
+    acc = hist
+    for _ in range(s - 1):
+        acc = _convolve(acc, hist, hist_digits, groups, radices)
+    total = 0
+    for part in acc[1]:
+        if wide_squares:
+            part = part.astype(object)
+        total += int(np.dot(part, part))
+    return total
+
+
+def _convolve(acc, hist, hist_digits, groups, radices):
+    """One pass acc * H, chunked over the rows of acc (convolution_counts).
+
+    With H's digits the pass is cyclic: digit sums are folded mod the radix.
+    """
+    acc_words, acc_parts = acc
+    hist_words, hist_parts = hist
+    width = len(hist_parts[0])
+    term_bytes = 16 * (len(acc_words) + len(acc_parts)) + 16
+    rows = max(1, _BLOCK_BYTES // (term_bytes * width))
+    if hist_digits is not None:
+        acc_digits = hist_digits if acc is hist else _unpack(acc_words, groups, radices)
+    pieces, size, merged = [], 0, 0
+    for lo in range(0, len(acc_parts[0]), rows):
+        hi = lo + rows
+        if hist_digits is not None:
+            digits = []
+            for a, h, m in zip(acc_digits, hist_digits, radices):
+                d = np.add.outer(a[lo:hi], h).ravel()
+                d %= m
+                digits.append(d)
+            words = _pack(digits, groups, radices)
+        else:
+            words = [np.add.outer(a[lo:hi], h).ravel()
+                     for a, h in zip(acc_words, hist_words)]
+        parts = _outer_products([part[lo:hi] for part in acc_parts], hist_parts)
+        pieces.append(_sort_reduce(words, parts))
+        size += len(pieces[-1][1][0])
+        # merge once the pieces pass a block and twice the last merge, so
+        # memory stays near one block and the merges near linear total work
+        if size > max(rows * width, 2 * merged):
+            pieces = [_concat_reduce(pieces)]
+            size = merged = len(pieces[0][1][0])
+    return _concat_reduce(pieces)

@@ -11,10 +11,15 @@ inequality.  The residues P_j(n) mod M_j are reduced exactly with Python
 integers and the coefficients scattered into the phase histogram
 H[h] = sum {a_n : P(n) = h mod M}; one unnormalised inverse FFT of H gives the
 inner sum at every cell, so floating point enters only in the transform and
-in the final reduction.  Sums with quadrature offsets v (below) are one matrix
-product per block of cells: the point table E[iota, n] = a_n prod_j
-e(iota_j (P_j(n) mod M_j) / M_j), reduced exactly per axis, times the offset
-table e(v . P(n)) gives S(iota, v) for every cell and offset at once.
+in the final reduction.  For r = 2s and Gaussian-integer coefficients the
+value is the integer sum_h |G(h)|^2, G = H^{*s} cyclic on prod Z/M_j
+(Parseval; the prefactor is 1/T), which is counted exactly with no floating
+point when that takes less work than the transform touches cells
+(``padic-count``, see :func:`_even_count`).  Sums with quadrature offsets v
+(below) are one matrix product per block of cells: the point table
+E[iota, n] = a_n prod_j e(iota_j (P_j(n) mod M_j) / M_j), reduced exactly per
+axis, times the offset table e(v . P(n)) gives S(iota, v) for every cell and
+offset at once.
 
 The real sparse mean value integrates |sum_n a_n e(x . P(n))|^r over the
 union of cells.  Substituting x = center + v turns each cell integral into an
@@ -24,6 +29,9 @@ tensor-Gauss quadrature with dyadic subdivision, or, at canonical scale with
 an even integer exponent, exactly: the integrand is then a trigonometric
 polynomial whose per-axis frequencies are bounded by F_j = (r/2) * (max P_j -
 min P_j), so averaging over any grid finer than F_j is the exact integral.
+On that grid the same count applies (``real-count``): its moduli
+L_j = F_j + 1 exceed the support of G per axis, so the cyclic count is the
+acyclic one, sum_h |G(h)|^2 over Z^k.
 
 Because the Gauss weights are positive and the real value is a weighted
 average over node offsets v of p-adic values of the modulated coefficients,
@@ -52,6 +60,8 @@ from .domains import (
 )
 from .errors import BudgetExceededError, InvalidInputError
 from .exact import (
+    _BLOCK_BYTES,
+    convolution_counts,
     extract_partials,
     fsum_rows,
     modulus_power,
@@ -70,9 +80,6 @@ from .quadrature import (
 )
 
 SAMPLER_NAMES = ("all-ones", "single-point", "random-phase", "random-sparse")
-
-#: Byte target of one row block of complex offset samples (cells x offsets).
-_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,8 @@ class MeanValueReport:
     """A computed mean value with its error metadata.
 
     ``value`` includes the N^(sum sigma_j) prefactor of the defining
-    inequality; exact (p-adic) evaluations report a zero error bound.
+    inequality; exact evaluations (p-adic, and real counts) report a zero
+    error bound.
     """
 
     value: float
@@ -396,6 +404,35 @@ def _check_cell_budget(domain: SparseDomain, budget: int) -> None:
         )
 
 
+def _even_count(coeffs: CoefficientVector, grid: _GridSum, r: float) -> int | None:
+    """sum_h |G(h)|^2, G = H^{*r/2} cyclic on the grid's prod Z/M_j, or None.
+
+    By Parseval, sum_iota |S(iota)|^r = T sum_h |G(h)|^2 for r = 2s, so the
+    exact count replaces the transform when r is an even integer, every
+    amplitude is a Gaussian integer and no phase shift is set.  It runs only
+    when its work bound W = sum_{t=1}^{s-1} min(|H|^t, T) |H| is at most the
+    T = prod M_j cells the transform would touch, |H| the support of the
+    residue histogram.
+    """
+    even = float(r).is_integer() and int(r) % 2 == 0
+    if not even or coeffs.phase_shift is not None:
+        return None
+    parts = coeffs.amplitude.view(np.float64)
+    if not (parts == np.trunc(parts)).all() or not np.isfinite(parts).all():
+        return None
+    return convolution_counts(grid._residues, coeffs.amplitude, int(r) // 2,
+                              grid.moduli, max_work=grid.total)
+
+
+def _count_value(count: int) -> float:
+    """The count as a float; a count past the float range reads inf, which
+    MeanValueReport rejects like an overflowing transform."""
+    try:
+        return float(count)
+    except OverflowError:
+        return math.inf
+
+
 def padic_short_mv(
     system: PhaseSystem,
     coeffs: CoefficientVector,
@@ -406,18 +443,27 @@ def padic_short_mv(
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
 ) -> MeanValueReport:
-    """The p-adic short mean value as an exact finite sum (see module docs)."""
+    """The p-adic short mean value as an exact finite sum (see module docs).
+
+    "padic-count" counts it exactly in integers when :func:`_even_count`
+    applies (the prefactor N^(sum(sigma_j - deg_j)) = 1/T cancels Parseval's
+    T); every other input runs the transform ("padic-exact").
+    """
     _check_exponent(r)
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)
     grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
-    power_sum = grid.weighted_power_sum(r)
-    exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
-    prefactor = _scale_power(scale, exponent)
+    count = _even_count(coeffs, grid, r)
+    if count is not None:
+        value, method = _count_value(count), "padic-count"
+    else:
+        exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
+        prefactor = _scale_power(scale, exponent)
+        value, method = float(prefactor) * grid.weighted_power_sum(r), "padic-exact"
     return MeanValueReport(
-        value=float(prefactor) * power_sum,
+        value=value,
         r=r,
-        method="padic-exact",
+        method=method,
         quadrature_error_bound=0.0,
     )
 
@@ -435,9 +481,11 @@ def real_sparse_mv(
 ) -> MeanValueReport:
     """Real mean value over the sparse domain (see module docs for methods).
 
-    The exact grid ("real-exact") runs at sigma = 0 with an even integer r
-    when its prod_j L_j samples fit NODE_BUDGET; every other input runs Gauss
-    cells ("real-gauss").
+    The exact grid runs at sigma = 0 with an even integer r when its
+    prod_j L_j samples fit NODE_BUDGET: as an exact integer count
+    ("real-count", error bound 0) when :func:`_even_count` applies, else as
+    a transform ("real-exact").  Every other input runs Gauss cells
+    ("real-gauss").
     """
     _check_exponent(r)
     quad = quad or QuadratureConfig()
@@ -452,10 +500,15 @@ def real_sparse_mv(
     even = float(r).is_integer() and int(r) % 2 == 0
     if canonical and even and size <= NODE_BUDGET:
         grid = _GridSum(system, coeffs, moduli, threads=threads, phase_vals=phase_vals)
-        value = grid.weighted_power_sum(r) / size
-        # rounding-level estimate: the transform leaves O(log T) ulps per sample
-        err = value * 4e-15 * math.log2(size + 2)
-        method = "real-exact"
+        # L_j exceeds the support of G per axis: the cyclic count is acyclic
+        count = _even_count(coeffs, grid, r)
+        if count is not None:
+            value, err, method = _count_value(count), 0.0, "real-count"
+        else:
+            value = grid.weighted_power_sum(r) / size
+            # rounding-level estimate: the transform leaves O(log T) ulps per sample
+            err = value * 4e-15 * math.log2(size + 2)
+            method = "real-exact"
     else:
         grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads,
                         phase_vals=phase_vals)

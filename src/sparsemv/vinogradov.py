@@ -3,26 +3,32 @@
 J(s, k, d; N, alpha) counts ordered pairs of s-tuples of field elements
 beta = n_0 + n_1 alpha + ... + n_{d-1} alpha^{d-1}, coordinates in [0, N),
 whose power sums sum_i beta_i^t agree for t = 1..k.  Counting goes through
-exact moment keys: the power-sum coordinates of one element, with no floating
-content.  With H the histogram of single-element keys, the number of s-tuples
-with power-sum key h is the s-fold convolution H^{*s}(h), so
-J = sum_h H^{*s}(h)^2, and the work and memory follow the support of H^{*s}
-instead of the N^(ds) tuples.
+exact moment keys: the power-sum coordinates of one element, integers with
+no floating content.  With H the histogram of single-element keys, the number
+of s-tuples with power-sum key h is the s-fold convolution H^{*s}(h), so
+J = sum_h H^{*s}(h)^2, which :func:`exact.convolution_counts` counts by
+sorting packed integer keys; the work and memory follow the support of the
+convolution powers instead of the N^(ds) tuples.
+
+Keys are integers for every minimal polynomial: with D the lcm of its
+denominators, gamma = D alpha has a monic integer minimal polynomial, and
+beta' = D^(d-1) beta has integer coordinates in the powers of gamma.  Since
+beta'^t = D^(t(d-1)) beta^t, two tuples have equal power sums exactly when
+their scaled power sums agree, so J does not change.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
+from .exact import _WORD_LIMIT, convolution_counts
 from .numberfield import MinimalPolynomial, field_multiply
 
 DEFAULT_KEY_BUDGET = 10**8
@@ -47,12 +53,14 @@ class SolutionCountRecord:
 def _single_keys(
     minpoly: MinimalPolynomial, k: int, N: int, transcendental: bool
 ) -> list[tuple]:
-    """Moment key of each single element beta, indexed by its coordinate tuple.
+    """Moment key of each single element beta, by exact rational arithmetic.
 
-    With reduction (the default), the key is the concatenation of the d
-    power-basis coordinates of beta^t for t = 1..k.  In the transcendental
-    reading, beta^t is expanded as a polynomial in a formal alpha with no
-    reduction, contributing t(d-1)+1 coefficients.
+    The key builder of the brute-force oracle, independent of the scaled
+    integer keys of :func:`_key_columns`.  With reduction (the default), the
+    key is the concatenation of the d power-basis coordinates of beta^t for
+    t = 1..k.  In the transcendental reading, beta^t is expanded as a
+    polynomial in a formal alpha with no reduction, contributing t(d-1)+1
+    coefficients.
     """
     d = minpoly.degree
     integral = all(c.denominator == 1 for c in minpoly.coeffs)
@@ -86,6 +94,47 @@ def _single_keys(
     return keys
 
 
+def _key_columns(
+    minpoly: MinimalPolynomial, k: int, N: int, transcendental: bool
+) -> list[np.ndarray]:
+    """Integer moment keys of every element beta in [0, N)^d, one array per axis.
+
+    The axes are the coordinates of beta'^t for t = 1..k: reduced modulo
+    the integer minimal polynomial of gamma = D alpha (module docs), or, in
+    the transcendental reading, the t(d-1)+1 coefficients of beta^t as a
+    polynomial in a formal alpha.  They are int64 when an a priori bound on
+    every coordinate fits, else Python ints.
+    """
+    d = minpoly.degree
+    coords = np.indices((N,) * d).reshape(d, -1)
+    if transcendental:
+        reduce_by = None
+        bound = (d * (N - 1)) ** k
+    else:
+        D = math.lcm(*(c.denominator for c in minpoly.coeffs))
+        reduce_by = [int(c * D ** (d - i)) for i, c in enumerate(minpoly.coeffs)]
+        coords = coords * np.array([D ** (d - 1 - i) for i in range(d)])[:, None]
+        # |beta'|_1 grows by at most |beta'|_1 per product and by
+        # (1 + sum |c'_i|) per reduced top coefficient
+        norm = (N - 1) * sum(D ** (d - 1 - i) for i in range(d))
+        bound = norm**k * (1 + sum(map(abs, reduce_by))) ** ((d - 1) * (k - 1))
+    base = list(coords.astype(np.int64 if bound < _WORD_LIMIT else object))
+    acc, columns = base, list(base)
+    for _ in range(k - 1):
+        prod = [0] * (len(acc) + d - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(base):
+                prod[i + j] = prod[i + j] + a * b
+        if reduce_by is not None:  # gamma^d = -(c'_{d-1} gamma^{d-1} + ... + c'_0)
+            for top in range(2 * d - 2, d - 1, -1):
+                for i, c in enumerate(reduce_by):
+                    prod[top - d + i] = prod[top - d + i] - c * prod[top]
+            prod = prod[:d]
+        acc = prod
+        columns.extend(acc)
+    return columns
+
+
 def count_solutions(
     minpoly: MinimalPolynomial,
     s: int,
@@ -97,8 +146,8 @@ def count_solutions(
 ) -> SolutionCountRecord:
     """J = sum over keys h of H^{*s}(h)^2, H the single-element key histogram.
 
-    The budget bounds N^(ds), the number of s-tuples, which also bounds the
-    work of the s - 1 convolutions.
+    The budget bounds N^(ds), the number of s-tuples, which is an upper
+    bound on the work sum_t |H^{*t}| |H| of the s - 1 convolution passes.
     """
     if s < 1 or k < 1 or N < 1:
         raise InvalidInputError("s, k, N must be positive")
@@ -110,15 +159,8 @@ def count_solutions(
             requested=n_keys,
             budget=budget,
         )
-    hist = Counter(_single_keys(minpoly, k, N, transcendental))
-    acc = hist
-    for _ in range(s - 1):  # convolve acc with H: keys add, counts multiply
-        nxt: Counter = Counter()
-        for ka, ca in acc.items():
-            for kb, cb in hist.items():
-                nxt[tuple(map(add, ka, kb))] += ca * cb
-        acc = nxt
-    J = sum(c * c for c in acc.values())
+    J = convolution_counts(_key_columns(minpoly, k, N, transcendental),
+                           np.ones(N**d, dtype=np.int64), s)
     return SolutionCountRecord(s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="hash")
 
 

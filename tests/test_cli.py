@@ -164,9 +164,10 @@ def test_out_of_memory_in_grid_transform_exits_3(tmp_path, capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(np.fft, "ifftn", out_of_memory)
+    # random phases: all-ones coefficients would be counted, with no transform
     code, out, err = run(
         ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
-         "--out", str(tmp_path / "mv.csv")],
+         "--sampler", "random-phase", "--out", str(tmp_path / "mv.csv")],
         capsys,
     )
     assert code == 3
@@ -274,6 +275,58 @@ def test_mv_padic_value_and_reproducibility(tmp_path, capsys):
     assert float(row[7]) == pytest.approx(15.0, rel=1e-9)
     assert float(row[8]) == 3.0  # denominator sum |a_n|^4
     assert float(row[9]) == pytest.approx(5.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, K, sigma, printed", [
+    ("3", "1", "0,0", "15.0"),
+    ("3", "2", "0,0", "161.0"),
+    ("5", "2", "0,0", "1257.0"),
+    ("3", "2", "0,1", "189.0"),
+    ("3", "3", "0,1", "2187.0"),
+])
+def test_mv_padic_even_counts_print_exact_integers(tmp_path, capsys, p, K, sigma,
+                                                    printed):
+    out_file = tmp_path / "mv.csv"
+    code, out, _ = run(
+        ["mv-padic", "--p", p, "--K", K, "--sigma", sigma, "--r", "4",
+         "--sampler", "all-ones", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0
+    row = read_rows(out_file)[1]
+    assert row[7] == printed and row[10] == "0.0"
+    assert f"value={printed} " in out and "method=padic-count" in out
+
+
+def test_mv_padic_names_the_transform(tmp_path, capsys):
+    code, out, _ = run(
+        ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+         "--sampler", "random-phase", "--out", str(tmp_path / "mv.csv")],
+        capsys,
+    )
+    assert code == 0 and "method=padic-exact ->" in out
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("mv-padic", []), ("mv-real", []), ("transfer-check", ["--vectors", "3"]),
+])
+def test_coeffs_file_provenance(tmp_path, capsys, command, extra):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("index,real,imag\n0,1.0,0.0\n1,0.0,1.0\n2,-1.0,0.0\n")
+    out_file = tmp_path / "out.csv"
+    code, _, err = run(
+        [command, "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+         "--coeffs-file", str(coeffs), "--sampler", "random-sparse", "--seed", "7",
+         "--out", str(out_file)] + extra,
+        capsys,
+    )
+    assert code == 0, err
+    config = out_file.read_text().splitlines()[0].split()
+    assert f"coeffs_file={coeffs}" in config
+    assert not any(item.startswith(("sampler=", "seed=")) for item in config)
+    rows = read_rows(out_file)[1:]
+    assert len(rows) == 1
+    assert rows[0][5:7] == ["file", ""]
 
 
 def test_mv_real_matches_padic_small(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from sparsemv.exact import (
     PhaseFraction,
+    convolution_counts,
     extract_partials,
     fsum_rows,
     modulus_power,
@@ -214,3 +216,65 @@ def test_tree_sum_non_finite_propagates_like_numpy():
     rows = np.concatenate([extract_partials(np.array([math.inf, 1.0])),
                            extract_partials(np.array([1e308, 1e308]))])
     assert fsum_rows(rows) == math.inf
+
+
+# --- the exact convolution count ---------------------------------------------
+
+def _dict_convolution_count(keys, weights, s, moduli=None):
+    """Oracle: sum_h |H^{*s}(h)|^2 by a dict loop over Python-int key tuples."""
+    def fold(key):
+        return tuple(x % m for x, m in zip(key, moduli)) if moduli else tuple(key)
+
+    hist = Counter()
+    for key, w in zip(keys, weights):
+        hist[fold(key)] += w
+    acc = dict(hist)
+    for _ in range(s - 1):
+        nxt = Counter()
+        for ka, wa in acc.items():
+            for kb, wb in hist.items():
+                nxt[fold(x + y for x, y in zip(ka, kb))] += wa * wb
+        acc = nxt
+    return sum(w.real**2 + w.imag**2 if isinstance(w, complex) else w * w
+               for w in acc.values())
+
+
+@st.composite
+def _convolution_case(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=0, max_value=10))
+    coord = st.integers(min_value=-6, max_value=6)
+    row = st.lists(coord, min_size=k, max_size=k)
+    keys = draw(st.lists(row, min_size=n, max_size=n))
+    part = st.integers(min_value=-2, max_value=2)
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.builds(complex, part, part), min_size=n, max_size=n))
+    else:
+        weights = draw(st.lists(part, min_size=n, max_size=n))
+    moduli = draw(st.none() | st.lists(st.integers(min_value=1, max_value=7),
+                                       min_size=k, max_size=k))
+    return k, keys, weights, draw(st.integers(min_value=1, max_value=4)), moduli
+
+
+@settings(max_examples=200, deadline=None)
+@given(_convolution_case())
+def test_convolution_counts_match_dict_loop(case):
+    k, keys, weights, s, moduli = case
+    axes = np.array(keys, dtype=np.int64).reshape(len(keys), k).T
+    got = convolution_counts(axes, np.array(weights), s, moduli)
+    # complex oracle values are small Gaussian integers, exact in floats
+    assert got == _dict_convolution_count(keys, weights, s, moduli)
+
+
+def test_convolution_counts_past_int64():
+    # keys past 2^62 (Python-int codes), radix products past 2^62 (two
+    # words), and weights whose powers pass int64
+    wide = [[n**15] for n in range(6)]
+    assert convolution_counts(np.array(wide, dtype=object).T, [1] * 6, 2) == \
+        _dict_convolution_count(wide, [1] * 6, 2)
+    split = [[n * 2**40, n**3 * 2**30] for n in range(5)]
+    assert convolution_counts(np.array(split).T, [1, 2, 1, 3, 1], 3) == \
+        _dict_convolution_count(split, [1, 2, 1, 3, 1], 3)
+    heavy = [2**40, 3, -(2**41)]
+    assert convolution_counts([[0, 1, 3]], heavy, 3, [4]) == \
+        _dict_convolution_count([[0], [1], [3]], heavy, 3, [4])

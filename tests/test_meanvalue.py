@@ -8,10 +8,13 @@ from itertools import product
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemv.domains import LocalizationVector
 from sparsemv.errors import BudgetExceededError, InvalidInputError
-from sparsemv.exact import fsum_rows, unit_root
+from sparsemv import exact
+from sparsemv.exact import convolution_counts, fsum_rows, unit_root
 from sparsemv.meanvalue import (
     CoefficientVector,
     IndexDomain,
@@ -317,6 +320,125 @@ def test_padic_transform_matches_mpmath_oracle(system, p, K, sig, r):
     )
 
 
+# --- exact integer counts against the transform ---------------------------------
+
+# (system, p, K, sigma): canonical and localized scales of the four systems
+COUNT_CASES = [
+    (PARABOLA, 3, 1, (0, 0)),
+    (PARABOLA, 3, 2, (0, 1)),
+    (MOMENT3, 3, 1, (0, 0, 0)),
+    (MOMENT3, 3, 1, (0, 0, 1)),
+    (GAUSSIAN, 3, 1, (0, 0, 0, 0)),
+    (GAUSSIAN, 3, 1, (0, 0, 1, 1)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 0, 0, 0)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 1, 1, 1)),
+]
+
+
+@st.composite
+def _gaussian_integer_case(draw):
+    system, p, K, sig = draw(st.sampled_from(COUNT_CASES))
+    domain = IndexDomain.box(p**K, system.dimension)
+    parts = st.integers(min_value=-2, max_value=2)
+    amplitude = draw(st.lists(st.builds(complex, parts, parts),
+                              min_size=len(domain), max_size=len(domain)))
+    r = draw(st.sampled_from([4, 6]))
+    coeffs = CoefficientVector(domain, amplitude)
+    return system, ScaleSpec(p=p, K=K), _sigma(*sig), coeffs, r
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gaussian_integer_case())
+def test_count_equals_rounded_transform(case):
+    system, scale, sig, coeffs, r = case
+    s = r // 2
+    # p-adic: the cyclic count on the cells against the transform
+    cells = build_domain(scale, sig, system.degrees).cell_counts
+    grid = _GridSum(system, coeffs, cells)
+    count = convolution_counts(grid._residues, coeffs.amplitude, s, grid.moduli)
+    exponent = sum(x - c.degree for x, c in zip(sig.sigma, system.components))
+    prefactor = float(meanvalue._scale_power(scale, exponent))
+    transform = prefactor * grid.weighted_power_sum(r)
+    assert round(transform) == count
+    assert transform == pytest.approx(count, rel=1e-12)
+    report = padic_short_mv(system, coeffs, float(r), scale, sig)
+    if report.method == "padic-count":
+        assert report.value == count
+    # real at sigma = 0: the acyclic count of the raw phases against the
+    # transform on the L_j grid
+    phase_rows = grid.phase_vals
+    acyclic = convolution_counts(phase_rows, coeffs.amplitude, s)
+    moduli = [s * (max(row) - min(row)) + 1 for row in phase_rows]
+    real_grid = _GridSum(system, coeffs, moduli, phase_vals=phase_rows)
+    real_transform = real_grid.weighted_power_sum(r) / math.prod(moduli)
+    assert round(real_transform) == acyclic
+    assert real_transform == pytest.approx(acyclic, rel=1e-12)
+    canonical = _sigma(*([0] * len(system.components)))
+    real = real_sparse_mv(system, coeffs, float(r), scale, canonical)
+    if real.method == "real-count":
+        assert real.value == acyclic and real.quadrature_error_bound == 0.0
+
+
+def test_count_runs_only_when_its_work_fits_the_grid():
+    # parabola, N = 3: |H| = 3 residue keys.  p-adic at r = 8 (T = 27 cells):
+    # W = 3*3 + 9*3 + 27*3 = 117 > 27.  Real at r = 10 (T = 11 * 21 = 231
+    # samples): W = 9 + 27 + 81 + 231*3 = 810 > 231.  Real at r = 8
+    # (T = 9 * 17 = 153): W = 117 <= 153.
+    scale = ScaleSpec(p=3, K=1)
+    ones = CoefficientVector.ones(IndexDomain.box(3, 1))
+    sig = _sigma(0, 0)
+    keys = [[0, 1, 2], [0, 1, 4]]  # n and n^2
+    padic = padic_short_mv(PARABOLA, ones, 8.0, scale, sig)
+    assert padic.method == "padic-exact"
+    assert padic.value == pytest.approx(convolution_counts(keys, [1, 1, 1], 4, (3, 9)),
+                                        rel=1e-12)
+    real = real_sparse_mv(PARABOLA, ones, 10.0, scale, sig)
+    assert real.method == "real-exact" and real.quadrature_error_bound > 0
+    assert real.value == pytest.approx(convolution_counts(keys, [1, 1, 1], 5),
+                                       rel=1e-12)
+    counted = real_sparse_mv(PARABOLA, ones, 8.0, scale, sig)
+    assert counted.method == "real-count" and counted.quadrature_error_bound == 0.0
+    assert counted.value == convolution_counts(keys, [1, 1, 1], 4)
+
+
+def test_count_needs_gaussian_integers_without_phase_shift():
+    scale = ScaleSpec(p=3, K=1)
+    domain = IndexDomain.box(3, 1)
+    sig = _sigma(0, 0)
+    halves = CoefficientVector(domain, [0.5, 1.0, 1j])
+    assert padic_short_mv(PARABOLA, halves, 4.0, scale, sig).method == "padic-exact"
+    shifted = modulate_coefficients(CoefficientVector.ones(domain),
+                                    (Fraction(0), Fraction(0)), PARABOLA)
+    assert shifted.phase_shift is not None
+    assert padic_short_mv(PARABOLA, shifted, 4.0, scale, sig).method == "padic-exact"
+    assert real_sparse_mv(PARABOLA, shifted, 4.0, scale, sig).method == "real-exact"
+    units = CoefficientVector(domain, [1.0, -1j, 0.0])
+    assert padic_short_mv(PARABOLA, units, 4.0, scale, sig).method == "padic-count"
+
+
+def test_count_past_the_float_range_is_rejected_like_the_transform():
+    scale = ScaleSpec(p=3, K=1)
+    huge = CoefficientVector(IndexDomain.box(3, 1), [1e200, 0.0, 0.0])
+    with pytest.raises(InvalidInputError):
+        padic_short_mv(PARABOLA, huge, 4.0, scale, _sigma(0, 0))
+    with pytest.raises(InvalidInputError):
+        real_sparse_mv(PARABOLA, huge, 4.0, scale, _sigma(0, 0))
+
+
+def test_counts_do_not_depend_on_the_block_size(monkeypatch):
+    scale = ScaleSpec(p=3, K=2)
+    coeffs = CoefficientVector(IndexDomain.box(9, 1),
+                               [1, 1j, -1, 2, 0, 1 - 1j, 1, -2j, 1])
+    def values():
+        return (padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)),
+                real_sparse_mv(PARABOLA, coeffs, 6.0, scale, _sigma(0, 0)))
+    default = values()
+    assert [rep.method for rep in default] == ["padic-count", "real-count"]
+    for block in (1, 200, 2000):  # one row of pairs per chunk, then a few
+        monkeypatch.setattr(exact, "_BLOCK_BYTES", block)
+        assert values() == default
+
+
 # --- modulation ---------------------------------------------------------------
 
 def test_modulate_zero_is_identity():
@@ -366,7 +488,7 @@ def test_real_grid_path_matches_exact_counts():
         report = real_sparse_mv(system, coeffs, r, scale, _sigma(*sig))
         expected = exact_solution_count(system, N, int(r) // 2)
         assert report.value == pytest.approx(float(expected), rel=1e-9)
-        assert report.method == "real-exact"
+        assert report.method == "real-count"
 
 
 def _gauss_at(system, coeffs, r, scale, sig):
@@ -381,7 +503,7 @@ def test_real_gauss_matches_grid_at_canonical_scale():
     scale = ScaleSpec(p=3, K=1)
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
     grid = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
-    assert grid.method == "real-exact"
+    assert grid.method == "real-count"
     gauss, err = _gauss_at(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
     assert gauss == pytest.approx(grid.value, rel=1e-6)
     assert err < 1e-6 * grid.value

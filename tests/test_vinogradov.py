@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from sparsemv import exact
 from sparsemv.errors import BudgetExceededError, InvalidInputError
 from sparsemv.numberfield import MinimalPolynomial
 from sparsemv.vinogradov import (
+    _key_columns,
     count_solutions,
     count_solutions_brute,
     fit_growth,
@@ -194,3 +196,31 @@ def test_rational_coefficient_minpoly_keys():
     rec = count_solutions(poly, 2, 2, 3)
     brute = count_solutions_brute(poly, 2, 2, 3)
     assert rec.J == brute.J >= 3**4
+
+
+@pytest.mark.parametrize("minpoly, s, k, N", [
+    ("-5/2,0", 1, 3, 4), ("-5/2,0", 2, 3, 3), ("-5/2,0", 2, 2, 4), ("-5/2,0", 3, 2, 2),
+    ("1/2,0", 2, 2, 4), ("1/2,0", 3, 2, 3), ("3/4,1/2", 2, 3, 4), ("-1/3,0,0", 2, 2, 3),
+])
+def test_rational_coefficient_minpoly_matches_brute(minpoly, s, k, N):
+    # the integer keys scale alpha by the lcm D of the denominators; the brute
+    # oracle keeps Fractions.  With D = 1 the last four cases would count
+    # x^2 or x^3 instead and disagree with the oracle.
+    poly = MinimalPolynomial.parse(minpoly)
+    assert count_solutions(poly, s, k, N).J == count_solutions_brute(poly, s, k, N).J
+
+
+def test_wide_keys_match_brute():
+    # coordinates up to 19^15 > 2^62: the keys and codes are Python ints
+    keys = _key_columns(LINE, 15, 20, False)
+    assert keys[-1].dtype == object and max(keys[-1]) > 2**62
+    J = count_solutions(LINE, 2, 15, 20).J
+    assert J == count_solutions_brute(LINE, 2, 15, 20).J == 2 * 20**2 - 20
+
+
+def test_count_does_not_depend_on_the_block_size(monkeypatch):
+    cases = [(LINE, 3, 2, 8), (X2P1, 3, 2, 3), (X3M2, 2, 3, 3)]
+    expected = [count_solutions(*case).J for case in cases]
+    for block in (1, 300):  # one row of pairs per chunk, then a few
+        monkeypatch.setattr(exact, "_BLOCK_BYTES", block)
+        assert [count_solutions(*case).J for case in cases] == expected
