@@ -211,8 +211,9 @@ def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool]:
-    """The real and (when nonzero) imaginary parts of Gaussian-integer weights.
+def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool] | None:
+    """The real and (when nonzero) imaginary parts of Gaussian-integer weights,
+    or None when some weight is not a (finite) Gaussian integer.
 
     With m the largest |Re w| or |Im w| times their count, at least the mass
     sum |Re w| + |Im w|, m^s bounds every value of every convolution power:
@@ -231,7 +232,7 @@ def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool]:
             exact = all(x.is_integer() for x in values)
             ints = np.array([int(x) for x in values] if exact else [], dtype=object)
         if not exact:
-            raise InvalidInputError("convolution weights must be Gaussian integers")
+            return None
     else:
         ints = flat if flat.dtype == object else flat.astype(np.int64)
     parts = [ints[0::2], ints[1::2]] if w.dtype.kind == "c" else [ints]
@@ -349,11 +350,12 @@ def convolution_counts(
 
     ``keys`` holds the k coordinates of the n keys as k integer arrays, one
     per axis (int64, or Python ints in object arrays), and ``weights`` n
-    Gaussian integers.  Without moduli the convolution is acyclic on Z^k;
-    with moduli M_j it is cyclic on prod Z/M_j.  The result is an exact
-    Python int.  With ``max_work``, the result is None, and no pair is
-    formed, when the work bound W = sum_{t=1}^{s-1} min(|H|^t, prod M_j) |H|
-    read from the histogram exceeds it.
+    numbers.  Without moduli the convolution is acyclic on Z^k; with moduli
+    M_j it is cyclic on prod Z/M_j.  The result is an exact Python int, or
+    None when some weight is not a Gaussian integer.  With ``max_work``, the
+    result is also None, and no pair is formed, when the work bound
+    W = sum_{t=1}^{s-1} min(|H|^t, prod M_j) |H| read from the histogram
+    exceeds it.
 
     Each key is shifted by its axis minimum and packed by mixed radix, axis
     j with radix s * span_j + 1 (acyclic), so a sum of at most s packed keys
@@ -370,7 +372,10 @@ def convolution_counts(
         raise InvalidInputError("every key axis needs one coordinate per weight")
     if not len(weights):
         return 0
-    parts, wide_squares = _integer_parts(weights, s)
+    integer_parts = _integer_parts(weights, s)
+    if integer_parts is None:
+        return None
+    parts, wide_squares = integer_parts
     if moduli is None:
         lows = [int(col.min()) for col in columns]
         radices = [s * (int(col.max()) - low) + 1 for col, low in zip(columns, lows)]

@@ -106,19 +106,21 @@ def _key_columns(
     every coordinate fits, else Python ints.
     """
     d = minpoly.degree
-    coords = np.indices((N,) * d).reshape(d, -1)
     if transcendental:
-        reduce_by = None
+        reduce_by, scales = None, [1] * d
         bound = (d * (N - 1)) ** k
     else:
         D = math.lcm(*(c.denominator for c in minpoly.coeffs))
         reduce_by = [int(c * D ** (d - i)) for i, c in enumerate(minpoly.coeffs)]
-        coords = coords * np.array([D ** (d - 1 - i) for i in range(d)])[:, None]
+        scales = [D ** (d - 1 - i) for i in range(d)]
         # |beta'|_1 grows by at most |beta'|_1 per product and by
         # (1 + sum |c'_i|) per reduced top coefficient
-        norm = (N - 1) * sum(D ** (d - 1 - i) for i in range(d))
-        bound = norm**k * (1 + sum(map(abs, reduce_by))) ** ((d - 1) * (k - 1))
-    base = list(coords.astype(np.int64 if bound < _WORD_LIMIT else object))
+        bound = ((N - 1) * sum(scales)) ** k * (
+            1 + sum(map(abs, reduce_by))) ** ((d - 1) * (k - 1))
+    # the dtype is fixed before scaling, so wide scales multiply Python ints
+    dtype = np.int64 if bound < _WORD_LIMIT else object
+    coords = np.indices((N,) * d).reshape(d, -1).astype(dtype)
+    base = list(coords * np.array(scales, dtype=dtype)[:, None])
     acc, columns = base, list(base)
     for _ in range(k - 1):
         prod = [0] * (len(acc) + d - 1)

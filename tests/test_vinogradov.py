@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from sparsemv.errors import BudgetExceededError, InvalidInputError
 from sparsemv.numberfield import MinimalPolynomial
 from sparsemv.vinogradov import (
     _key_columns,
+    _single_keys,
     count_solutions,
     count_solutions_brute,
     fit_growth,
@@ -208,6 +210,34 @@ def test_rational_coefficient_minpoly_matches_brute(minpoly, s, k, N):
     # x^2 or x^3 instead and disagree with the oracle.
     poly = MinimalPolynomial.parse(minpoly)
     assert count_solutions(poly, s, k, N).J == count_solutions_brute(poly, s, k, N).J
+
+
+@pytest.mark.parametrize("minpoly, N", [
+    ("-2/1162261467,0,0", 8),   # 7 * D^2 = 7 * 3^38 passes 2^63
+    ("-2/3486784401,0,0", 4),   # D^2 = 3^40 lies in [2^63, 2^64)
+    ("-5/2,0", 6),
+])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_scaled_keys_match_rational_keys(minpoly, N, k):
+    # beta'^t = D^(t(d-1)) beta^t and alpha^i = gamma^i / D^i, so coordinate
+    # i of beta'^t is D^(t(d-1) - i) times the rational oracle's coordinate
+    poly = MinimalPolynomial.parse(minpoly)
+    d = poly.degree
+    D = math.lcm(*(c.denominator for c in poly.coeffs))
+    columns = _key_columns(poly, k, N, False)
+    for n, key in enumerate(_single_keys(poly, k, N, False)):
+        expected = [D ** (t * (d - 1) - i) * key[(t - 1) * d + i]
+                    for t in range(1, k + 1) for i in range(d)]
+        assert [int(col[n]) for col in columns] == expected
+
+
+def test_wide_scaled_keys_count_like_any_field_at_k1():
+    # at k = 1 the keys are the scaled coordinates, a linear bijection, so
+    # J = (sum_h r(h)^2)^d with r(h) the number of pairs in [0, 8) summing to h
+    poly = MinimalPolynomial.parse("-2/1162261467,0,0")
+    ones_squared = sum(min(h + 1, 15 - h) ** 2 for h in range(15))
+    assert count_solutions(poly, 2, 1, 8).J == ones_squared**3
+    assert count_solutions(poly, 2, 1, 8).J == count_solutions(X3M2, 2, 1, 8).J
 
 
 def test_wide_keys_match_brute():
