@@ -208,8 +208,12 @@ def cli():
 @click.option("--K", "K", type=int, required=True)
 @common_options
 def hensel(p, K, out, threads):
-    """Print the canonical square root of -1 modulo p**K."""
+    """Print the canonical square root of -1 modulo p**K; --out also writes it
+    as a one-row CSV (p, K, xi)."""
     root = hensel_sqrt_minus_one(p, K)
+    if out is not None:
+        csvio.write_csv(out, ["p", "K", "xi"], [(p, K, root.xi)],
+                        {"command": "hensel", "p": p, "K": K})
     _echo(str(root.xi))
 
 

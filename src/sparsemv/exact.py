@@ -2,8 +2,10 @@
 
 Phases are tracked as exact rationals modulo 1; floating point enters only
 when a phase is finally turned into a point on the unit circle.  Every large
-reduction splits its terms by error-free extraction into a few partial sums
-that numpy forms without rounding, then rounds them once with math.fsum, so
+reduction takes one round of error-free extraction, which numpy forms without
+rounding, plus a float sum of the remainder with a power-of-two error bound,
+and rounds the two once with math.fsum's algorithm.  When the bound leaves
+the rounding open, the remaining extraction rounds run on the remainder.  So
 each total is the correctly rounded sum of its terms and does not depend on
 their order or on how the work was chunked or parallelised.
 
@@ -34,6 +36,12 @@ _BLOCK_BYTES = 1 << 22
 #: Largest radix product packed into one int64 code word, so that the sum of
 #: two codes cannot overflow.
 _WORD_LIMIT = 1 << 62
+
+#: Most rows that fsum_rows sums a row at a time across all columns: that
+#: work grows with the square of the row count, a math.fsum call per column
+#: only linearly.  Extraction partials have a few rows; only the terms of
+#: columns past the float range (which extraction passes on whole) have more.
+_VECTOR_ROWS = 16
 
 
 class PhaseFraction:
@@ -156,6 +164,38 @@ def extract_partials(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.reshape(row, (-1,) + x.shape[1:]) for row in rows])
 
 
+def extract_once(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round of :func:`extract_partials` down axis 0 of a nonempty 1-d or
+    2-d float64 x, with an error bound in place of the further rounds.
+
+    Returns the rows [hi, tail], a bound E per column and the remainder r, a
+    new array; x is only read.  hi + sum r is the sum of x exactly, and tail
+    is numpy's sum of r.  With mu < 2^e and sigma = 2^(e + log_m) as in
+    extract_partials, every |r_i| <= ulp(sigma)/2 = 2^(e + log_m - 53), so
+    any summation order of the n < 2^log_m remainders is off by less than
+    gamma_(n-1) n 2^(e + log_m - 53) < E = 2^(e + 3 log_m - 105) (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, section 4.2).  E
+    underflows to 0 only where every partial sum is subnormal, hence exact.
+    A zero column has E = 0.  A column that extract_partials yields whole
+    has hi = 0, its terms as the remainder and E = inf.
+    """
+    log_m = (len(x) + 1).bit_length()
+    mu = np.maximum(x.max(axis=0), -x.min(axis=0))
+    whole = ~(mu < 2.0 ** (1023 - log_m))  # not finite, or sigma would not be
+    e = np.frexp(np.where(whole, 0.0, mu))[1]
+    sigma = np.ldexp(1.0, e + log_m)
+    q = x + sigma
+    q -= sigma
+    if whole.any():
+        np.copyto(q, 0.0, where=whole)
+    hi = q.sum(axis=0)
+    rest = np.subtract(x, q, out=q)
+    with np.errstate(over="ignore", invalid="ignore"):  # terms of whole columns
+        tail = rest.sum(axis=0)
+    bound = np.ldexp(np.where(whole, np.inf, mu != 0.0), e + 3 * log_m - 105)
+    return np.array([hi, tail]), bound, rest
+
+
 def _fsum(terms: list[float]) -> float:
     """math.fsum, with np.sum's value for non-finite terms and none of fsum's
     overflow errors when only a partial sum leaves the float range."""
@@ -174,14 +214,83 @@ def _fsum(terms: list[float]) -> float:
 
 
 def fsum_rows(rows: np.ndarray) -> float | np.ndarray:
-    """math.fsum down 1-d rows, or down each column of 2-d rows."""
+    """math.fsum down 1-d rows, or down each column of 2-d rows, bit for bit.
+
+    The 2-d form runs CPython's fsum (Shewchuk, Discrete Comput. Geom. 18,
+    1997) on every column at once.  Partials stay in place, zeros among them,
+    so the nonzero ones of each column are fsum's list.  The sum from the top
+    partial down stops per column at the first inexact step, and the
+    half-even fix reads the next nonzero partial below that step.  A column
+    with a non-finite partial (a non-finite term, or a partial sum out of
+    range) goes to :func:`_fsum`, and so does every column of more than
+    _VECTOR_ROWS rows.
+    """
     if rows.ndim == 1:
         return _fsum(rows.tolist())
-    return np.array([_fsum(col) for col in rows.T.tolist()])
+    if len(rows) > _VECTOR_ROWS:
+        return np.array([_fsum(col) for col in rows.T.tolist()], dtype=np.float64)
+    partials = np.array(rows, dtype=np.float64)
+    if not len(partials):
+        return np.zeros(partials.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(partials)):
+            x = partials[i].copy()
+            for y in partials[:i]:  # two-sum x + y: x takes hi, y keeps lo
+                hi = x + y
+                yy = hi - x
+                y -= yy
+                np.subtract(hi, yy, out=yy)
+                np.subtract(x, yy, out=yy)
+                y += yy
+                x = hi
+            partials[i] = x
+        total = partials[-1].copy()
+        lo, below = np.zeros_like(total), np.zeros_like(total)
+        done = np.zeros(total.shape, dtype=bool)
+        for y in partials[-2::-1]:
+            np.copyto(below, y, where=done & (below == 0.0))
+            hi = total + y
+            step = y - (hi - total)
+            np.copyto(total, hi, where=~done)
+            broke = ~done & (step != 0.0)
+            np.copyto(lo, step, where=broke)
+            done |= broke
+        # half-even across partials: lo and the partial below it push the
+        # same way, and total + 2 lo is the neighbour they push towards
+        fix = ((lo < 0.0) & (below < 0.0)) | ((lo > 0.0) & (below > 0.0))
+        if fix.any():
+            twice = 2.0 * lo
+            hi = total + twice
+            np.copyto(total, hi, where=fix & (hi - total == twice))
+        special = ~np.isfinite(partials).all(axis=0)
+    total += 0.0  # fsum's zero is +0.0
+    for col in np.flatnonzero(special):
+        total[col] = _fsum(rows[:, col].tolist())
+    return total
+
+
+def certified(partials: np.ndarray, bound: np.ndarray) -> tuple:
+    """The rounded total of partials + [bound] (down axis 0), and whether it
+    is also that of partials + [-bound], per column.
+
+    Rounding to nearest is monotone, so where the two agree they are the
+    correctly rounded value of every number within the bound of the
+    partials' exact total.
+    """
+    upper = fsum_rows(np.concatenate([partials, bound[None]]))
+    lower = fsum_rows(np.concatenate([partials, -bound[None]]))
+    return upper, upper == lower
 
 
 def _total(values: np.ndarray) -> float:
-    return _fsum(extract_partials(np.array(values, dtype=np.float64).ravel()).tolist())
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if not len(x):
+        return 0.0
+    rows, bound, rest = extract_once(x)
+    total, ok = certified(rows, bound)
+    if ok:
+        return total
+    return _fsum([float(rows[0])] + extract_partials(rest).tolist())
 
 
 def tree_sum(values: np.ndarray | Iterable) -> complex | float:
@@ -189,6 +298,8 @@ def tree_sum(values: np.ndarray | Iterable) -> complex | float:
 
     It depends neither on the order of the elements nor on any chunking or
     parallel partitioning of them.  Complex input is summed part by part.
+    One extraction round and the certificate of :func:`certified` settle
+    almost every sum; the rest finish the extraction on the remainder.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
     if np.iscomplexobj(arr):

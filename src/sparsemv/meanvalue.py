@@ -61,7 +61,9 @@ from .domains import (
 from .errors import BudgetExceededError, InvalidInputError
 from .exact import (
     _BLOCK_BYTES,
+    certified,
     convolution_counts,
+    extract_once,
     extract_partials,
     fsum_rows,
     modulus_power,
@@ -346,35 +348,48 @@ class _GridSum:
         """For each offset v: sum over iota of |S(iota, v)|^r, correctly rounded.
 
         Row blocks of iota stay under _BLOCK_BYTES of samples and may run on
-        several threads; each yields exact column partials, so the sums
+        several threads.  Each block takes one extraction round: its [hi,
+        tail] rows fold exactly into a few rows of partials, and its bounds
+        E_b add up to at most 2^ceil(log2 B) max_b E_b over the B blocks.
+        Columns this bound does not certify rerun the same blocks, the same
+        GEMMs on the same terms, with full extraction.  Either way the sums
         depend on neither the thread count nor the order of the blocks.
         """
         offsets = offset_factors.shape[0]
         rows = max(1, _BLOCK_BYTES // (16 * offsets))
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
 
-        def run(lo_hi: tuple[int, int]) -> np.ndarray:
-            return extract_partials(self._power_block(*lo_hi, r, offset_factors))
+        def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
+            def run(lo_hi: tuple[int, int]):
+                terms = self._power_block(*lo_hi, r, offset_factors)
+                if one_round:
+                    return extract_once(terms)[:2]
+                return extract_partials(terms), np.zeros(offsets)
 
-        def fold(partials: np.ndarray, block: np.ndarray) -> np.ndarray:
-            # keeps a few rows of partials, however many blocks there are
-            return extract_partials(np.concatenate([partials, block]))
+            def fold(acc, block):
+                # keeps a few rows of partials, however many blocks there are
+                return (extract_partials(np.concatenate([acc[0], block[0]])),
+                        np.maximum(acc[1], block[1]))
 
-        try:
-            if self.threads == 1 or len(bounds) == 1:
-                partials = reduce(fold, map(run, bounds))
-            else:
+            try:
+                if self.threads == 1 or len(bounds) == 1:
+                    return reduce(fold, map(run, bounds))
                 with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    partials = reduce(fold, pool.map(run, bounds))
-        except MemoryError:
-            # a block's complex samples, its |S|^r and its point rows
-            needed = rows * (24 * offsets + 16 * len(self.base))
-            raise BudgetExceededError(
-                f"offset grid block of {rows} cells x {offsets} offsets needs "
-                f"about {needed} bytes, more than the machine could allocate",
-                requested=needed,
-            ) from None
-        return fsum_rows(partials)
+                    return reduce(fold, pool.map(run, bounds))
+            except MemoryError:
+                # a block's complex samples, its |S|^r and its point rows
+                needed = rows * (24 * offsets + 16 * len(self.base))
+                raise BudgetExceededError(
+                    f"offset grid block of {rows} cells x {offsets} offsets needs "
+                    f"about {needed} bytes, more than the machine could allocate",
+                    requested=needed,
+                ) from None
+
+        partials, bound = reduced(one_round=True)
+        sums, ok = certified(partials, np.ldexp(bound, (len(bounds) - 1).bit_length()))
+        if not ok.all():
+            sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
+        return sums
 
     def weighted_power_sum(self, r: float) -> float:
         """sum over iota of |S(iota)|^r, by the transform."""

@@ -22,13 +22,20 @@ Rational = Fraction
 
 
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, from its factorisation by trial
+    division; each prime is divided out as it is found, so the search stops
+    at the square root of the largest remaining cofactor."""
     n = abs(n)
-    out = []
-    for cand in range(1, int(math.isqrt(n)) + 1):
-        if n % cand == 0:
-            out.append(cand)
-            if cand * cand != n:
-                out.append(n // cand)
+    out = [1]
+    cand = 2
+    while n > 1:
+        if cand * cand > n:
+            cand = n  # what is left is prime
+        power = len(out)
+        while n % cand == 0:
+            n //= cand
+            out += [d * cand for d in out[-power:]]
+        cand += 1
     return sorted(out)
 
 

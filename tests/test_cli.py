@@ -47,6 +47,15 @@ def test_hensel_stdout(capsys):
     assert out.strip() == "7"
 
 
+def test_hensel_out_writes_one_row(tmp_path, capsys):
+    path = tmp_path / "h.csv"
+    code, out, _ = run(["hensel", "--p", "5", "--K", "2", "--out", str(path)], capsys)
+    assert code == 0
+    assert out.strip() == "7"  # stdout stays the bare root
+    assert path.read_text().splitlines()[0] == "# config: command=hensel p=5 K=2"
+    assert read_rows(path) == [["p", "K", "xi"], ["5", "2", "7"]]
+
+
 def test_hensel_bad_prime_exit_1(capsys):
     code, _, err = run(["hensel", "--p", "10", "--K", "2"], capsys)
     assert code == 1

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsemv.exact as exact
 from sparsemv.exact import (
     PhaseFraction,
+    certified,
     convolution_counts,
+    extract_once,
     extract_partials,
     fsum_rows,
     modulus_power,
@@ -216,6 +219,181 @@ def test_tree_sum_non_finite_propagates_like_numpy():
     rows = np.concatenate([extract_partials(np.array([math.inf, 1.0])),
                            extract_partials(np.array([1e308, 1e308]))])
     assert fsum_rows(rows) == math.inf
+
+
+# --- the vectorised fsum and the one-round certificate -----------------------
+
+def _fsum_oracle(col):
+    """math.fsum; where it raises, numpy's value for non-finite terms and the
+    correctly rounded exact sum (infinite past the range) for finite ones."""
+    try:
+        return math.fsum(col)
+    except (OverflowError, ValueError):
+        special = [t for t in col if not math.isfinite(t)]
+        if special:
+            return sum(special)
+        exact_sum = sum(map(Fraction, col))
+        try:
+            return float(exact_sum)
+        except OverflowError:
+            return math.inf if exact_sum > 0 else -math.inf
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or (
+        a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+_EDGE_TERMS = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1.0, -1.0, 2.0**-53,
+    -(2.0**-53), 1e16, -1e16, 1e308, -1e308, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.inf, -math.inf, math.nan,
+])
+_TERMS = st.one_of(st.floats(), _EDGE_TERMS, st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def _near_tie(draw, k):
+    """a, half an ulp of a, a nudge of one ulp of that half or none, in any
+    order among zeros: the exact sum is a rounding tie or just beside one."""
+    a = draw(st.floats(2.0**-1000, 2.0**1000)) * draw(st.sampled_from([1.0, -1.0]))
+    half = math.ulp(a) / 2 * draw(st.sampled_from([1.0, -1.0]))
+    nudge = math.ulp(half) * draw(st.sampled_from([0.0, 1.0, -1.0]))
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=k - 3, max_size=k - 3))
+    return draw(st.permutations([a, half, nudge] + zeros))
+
+
+@st.composite
+def _columns(draw):
+    k = draw(st.one_of(st.integers(1, 6), st.integers(7, 2 * exact._VECTOR_ROWS)))
+    column = st.lists(_TERMS, min_size=k, max_size=k)
+    if k >= 3:
+        column = st.one_of(column, _near_tie(k))
+    return draw(st.lists(column, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns())
+def test_fsum_rows_matches_fsum_per_column(columns):
+    sums = fsum_rows(np.array(columns, dtype=np.float64).T)
+    assert sums.shape == (len(columns),)
+    for got, col in zip(sums.tolist(), columns):
+        assert _same_float(got, _fsum_oracle(col)), col
+
+
+def test_fsum_rows_edge_columns():
+    columns = [
+        [1e-16, 1.0, 1e16],  # the half-even fix rounds up to ...02
+        [1.0, 2.0**-53, 2.0**-106],  # a tie pushed up by the partial below
+        [1.0, 2.0**-53, 0.0, -0.0, -(2.0**-106)],  # ... and down, past zeros
+        [-0.0, -0.0, -0.0],
+        [1.0, -1.0, 0.0],
+        [1e308, 1e308, -1e308],  # fsum overflows a partial; the sum fits
+        [1.7976931348623157e308, 1e292, 0.0],  # the total rounds past the range
+        [math.inf, 1.0, 2.0],
+        [math.inf, -math.inf, 0.0],
+        [math.nan, 1.0, 0.0],
+        [5e-324, 5e-324, -5e-324],
+    ]
+    columns = [col + [0.0] * (5 - len(col)) for col in columns]
+    sums = fsum_rows(np.array(columns).T)
+    for got, col in zip(sums.tolist(), columns):
+        assert _same_float(got, _fsum_oracle(col)), col
+    assert fsum_rows(np.zeros((0, 3))).tolist() == [0.0, 0.0, 0.0]
+
+
+@st.composite
+def _adversarial_block(draw):
+    """Terms whose remainders after one round are as large as they get, at a
+    scale anywhere in the range.  Either every term is a multiple of half an
+    ulp of sigma plus just under half of that, or one term sets sigma and
+    all others lie below half its ulp with full mantissas, so the whole of
+    them is remainder and its float sum rounds at every step."""
+    n = draw(st.sampled_from([2, 3, 7, 64, 1000, 4096]))
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.integers(-1060, 1000 - n.bit_length()))
+    log_m = (n + 1).bit_length()
+    half_ulp = 2.0 ** (log_m - 53)  # ulp(sigma) / 2 for mu just below 1
+    sign = rng.choice([1.0, -1.0], (n, width)) if draw(st.booleans()) else 1.0
+    if draw(st.booleans()):
+        big = np.floor(rng.random((n, width)) / half_ulp) * half_ulp
+        x = big + half_ulp * rng.uniform(0.49, 0.5, (n, width))
+    else:
+        x = half_ulp * rng.uniform(0.5, 1.0, (n, width))
+        x[0] = 0.75
+    return np.ldexp(sign * x, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_adversarial_block())
+def test_one_round_tail_within_bound(x):
+    terms = [[Fraction(v) for v in col] for col in x.T.tolist()]
+    rows, bound, rest = extract_once(x.copy())
+    assert rows.shape == (2, x.shape[1]) and rest.shape == x.shape
+    for j, col in enumerate(terms):
+        rest_sum = sum(map(Fraction, rest[:, j].tolist()))
+        hi, tail, e = float(rows[0, j]), float(rows[1, j]), float(bound[j])
+        assert Fraction(hi) + rest_sum == sum(col)  # the extracted part is exact
+        assert abs(Fraction(tail) - rest_sum) <= Fraction(e)
+        assert e == 0.0 or math.frexp(e)[0] == 0.5  # a power of two
+
+
+def test_one_round_bounds_of_zero_and_whole_columns():
+    x = np.array([[0.0, 1e308, math.nan, 1.0], [-0.0, 1e308, 1.0, 2.0]])
+    rows, bound, rest = extract_once(x.copy())
+    assert bound[0] == 0.0 and rows[:, 0].tolist() == [0.0, 0.0]
+    assert bound[1] == math.inf and bound[2] == math.inf
+    assert rows[0, 1] == 0.0 and rest[:, 1].tolist() == [1e308, 1e308]
+    assert rows[:, 3].tolist() == [3.0, 0.0] and 0.0 < bound[3] < 2.0**-90
+
+
+def test_certified_needs_both_ends_to_round_alike():
+    partials = np.array([[3.0, 3.0], [2.0**-52, 2.0**-53]])
+    sums, ok = certified(partials, np.array([2.0**-60, 2.0**-60]))
+    assert ok.tolist() == [False, True]  # 3 + 2^-52 is a tie, 3 + 2^-53 is not
+    assert sums[1] == 3.0
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+    original = exact.extract_partials
+
+    def counting(x):
+        calls.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(exact, "extract_partials", counting)
+    return calls
+
+
+def test_tree_sum_falls_back_on_a_near_tie(monkeypatch):
+    calls = _counting_fallback(monkeypatch)
+    # 100000 - 2^-37 is a tie halfway between 100000 and its lower neighbour
+    vals = np.ones(100000)
+    vals[12345] = 1.0 - 2.0**-37
+    assert tree_sum(vals) == math.fsum(vals) == 100000.0
+    assert calls == [100000]  # the remaining rounds ran on the remainder
+    vals[12345] = 1.0 - 2.0**-36  # no tie: one round settles it
+    assert tree_sum(vals) == math.fsum(vals) == 100000.0 - 2.0**-36
+    assert calls == [100000]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(KINDS), st.sampled_from(SIZES), st.integers(0, 2**32 - 1))
+def test_tree_sum_falls_back_when_the_bound_is_huge(kind, n, seed):
+    vals = kind(np.random.default_rng(seed), n)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_fallback(mp)
+        original = exact.extract_once
+
+        def inflated(x):
+            rows, bound, rest = original(x)
+            return rows, bound + 2.0**600, rest
+
+        mp.setattr(exact, "extract_once", inflated)
+        assert tree_sum(vals) == math.fsum(vals)
+        assert calls == ([n] if n else [])
 
 
 # --- the exact convolution count ---------------------------------------------

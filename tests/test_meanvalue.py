@@ -802,6 +802,75 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
         np.testing.assert_allclose(columns, columns_by_rows[default_rows], rtol=1e-13)
 
 
+def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
+    # the one-round bound is inflated for every other offset, so those
+    # columns fail their certificate and the blocks run again in full
+    scale = ScaleSpec(p=3, K=2)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=31)
+    domain = build_domain(scale, _sigma(0, 1), PARABOLA.degrees)
+    offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
+    grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
+    factors = _offset_factors(grid.phase_vals, offsets)
+    V = len(offsets)
+    rows = 7
+    terms = np.concatenate([
+        grid._power_block(lo, min(lo + rows, grid.total), 4.0, factors)
+        for lo in range(0, grid.total, rows)
+    ])
+    expected = [math.fsum(terms[:, j]) for j in range(V)]
+    monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 16 * V * rows)
+    original = meanvalue.extract_once
+
+    def inflated(x):
+        partials, bound, rest = original(x)
+        bound[::2] = 2.0**600
+        return partials, bound, rest
+
+    monkeypatch.setattr(meanvalue, "extract_once", inflated)
+    blocks = []
+    original_block = _GridSum._power_block
+
+    def counting(self, *args):
+        blocks.append(args[:2])
+        return original_block(self, *args)
+
+    monkeypatch.setattr(_GridSum, "_power_block", counting)
+    for threads in (1, 2):
+        blocks.clear()
+        grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
+        assert grid.per_offset_power_sum(4.0, factors).tolist() == expected
+        assert len(blocks) == 2 * -(-grid.total // rows)  # every block twice
+
+
+@pytest.mark.parametrize("r", [340.0, 400.0])
+@pytest.mark.parametrize("rows", [2, None])
+def test_offset_sums_near_and_past_the_float_range(monkeypatch, r, rows):
+    # at r = 340 some |S|^r pass 2^1000, where extraction takes the whole
+    # column; at r = 400 some are inf.  Every column reads math.fsum's value.
+    scale = ScaleSpec(p=3, K=2)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=31)
+    domain = build_domain(scale, _sigma(0, 1), PARABOLA.degrees)
+    offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
+    grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
+    factors = _offset_factors(grid.phase_vals, offsets)
+    if rows is None:
+        rows = grid.total
+    monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 16 * len(offsets) * rows)
+    with np.errstate(over="ignore"):
+        terms = np.concatenate([  # block by block, as the engine forms them
+            grid._power_block(lo, min(lo + rows, grid.total), r, factors)
+            for lo in range(0, grid.total, rows)
+        ])
+        sums = grid.per_offset_power_sum(r, factors)
+    assert (terms >= 2.0**1000).any()
+    for got, col in zip(sums.tolist(), terms.T.tolist()):
+        try:
+            want = math.fsum(col)
+        except OverflowError:  # a partial sum past the range: the sum is too
+            want = math.inf
+        assert got == want
+
+
 # --- the offset engine against a direct, exact-phase oracle --------------------
 
 def _direct_abs_squared(system, coeffs, cells, offsets):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from sparsemv.errors import InvalidInputError
 from sparsemv.numberfield import (
     MinimalPolynomial,
+    _divisors,
     epsilon_table,
     evaluate_phase,
     expand_trace_phase,
@@ -76,6 +79,21 @@ def test_trace_powers_prefix_consistency():
     values = trace_powers(X3M2, 9)
     for kappa in range(10):
         assert values[kappa] == trace_power(X3M2, kappa)
+
+
+def test_divisors_match_trial_division():
+    for n in list(range(1, 400)) + [-12, 2**20, 3**7 * 5**3 * 7, 9973 * 9967]:
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        assert _divisors(n) == sorted(set(small + [abs(n) // d for d in small]))
+
+
+def test_rational_root_test_factors_large_constants():
+    # x^2 - 2/3^39: the old divisor search trial-divided up to 3^39.5
+    start = time.perf_counter()
+    MinimalPolynomial.parse("-2/4052555153018976267,0")
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(InvalidInputError, match="2/1162261467"):
+        MinimalPolynomial.parse("-4/1350851717672992089,0")  # x^2 - (2/3^19)^2
 
 
 def test_rational_root_rejection():

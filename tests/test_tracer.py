@@ -39,4 +39,5 @@ def test_perfbench_tracer_installs_and_counts_grid_sums(tmp_path):
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert summary["cli.main.calls"] == len(commands)
     assert summary["meanvalue.grid_sum.calls"] > 0
+    assert summary["exact.tree_sum.calls"] > 0  # the reduction entry point
     assert summary["quadrature.tensor_offsets.nodes"] > 0
