@@ -7,7 +7,8 @@ rounding, plus a float sum of the remainder with a power-of-two error bound,
 and rounds the two once with math.fsum's algorithm.  When the bound leaves
 the rounding open, the remaining extraction rounds run on the remainder.  So
 each total is the correctly rounded sum of its terms and does not depend on
-their order or on how the work was chunked or parallelised.
+their order or on how the work was chunked or parallelised.  A short sum is
+a single math.fsum call, which gives the same bits for less fixed cost.
 
 Integer-valued sums of squares of convolution powers, sum_h |H^{*s}(h)|^2,
 are counted with no floating point at all (:func:`convolution_counts`): each
@@ -36,6 +37,14 @@ _BLOCK_BYTES = 1 << 22
 #: Largest radix product packed into one int64 code word, so that the sum of
 #: two codes cannot overflow.
 _WORD_LIMIT = 1 << 62
+
+#: Sums of fewer terms are one math.fsum call.  Timed on one core of a
+#: 2-core x86_64 machine (numpy 2.4): fsum of a list takes 0.5 us for one
+#: term, 12-16 us for 256 and 23-33 us for 512, one extraction round with its
+#: certificate 49-57 us at any length up to 2048, and about 100 us when a
+#: rounding tie sends it on to full extraction; fsum costs more from 700-1000
+#: terms on.
+_FSUM_TERMS = 512
 
 #: Most rows that fsum_rows sums a row at a time across all columns: that
 #: work grows with the square of the row count, a math.fsum call per column
@@ -284,8 +293,8 @@ def certified(partials: np.ndarray, bound: np.ndarray) -> tuple:
 
 def _total(values: np.ndarray) -> float:
     x = np.asarray(values, dtype=np.float64).ravel()
-    if not len(x):
-        return 0.0
+    if len(x) < _FSUM_TERMS:
+        return _fsum(x.tolist())
     rows, bound, rest = extract_once(x)
     total, ok = certified(rows, bound)
     if ok:
@@ -293,12 +302,24 @@ def _total(values: np.ndarray) -> float:
     return _fsum([float(rows[0])] + extract_partials(rest).tolist())
 
 
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """math.fsum down each column of a nonempty 2-d float64 x, bit for bit:
+    one extraction round and its certificate, full extraction for the
+    columns it leaves open.  x is only read."""
+    rows, bound, _ = extract_once(x)
+    sums, ok = certified(rows, bound)
+    if not ok.all():
+        sums[~ok] = fsum_rows(extract_partials(x[:, ~ok]))
+    return sums
+
+
 def tree_sum(values: np.ndarray | Iterable) -> complex | float:
     """The correctly rounded sum of an array: math.fsum's value, bit for bit.
 
     It depends neither on the order of the elements nor on any chunking or
     parallel partitioning of them.  Complex input is summed part by part.
-    One extraction round and the certificate of :func:`certified` settle
+    Fewer than _FSUM_TERMS terms go to math.fsum itself.  For longer input
+    one extraction round and the certificate of :func:`certified` settle
     almost every sum; the rest finish the extraction on the remainder.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
@@ -312,14 +333,17 @@ def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:
 
     Even integer exponents stay in pure multiplications; other exponents use
     exp((r/2) log |z|^2), in one output array, which maps zeros to zero.
+    A power past the float range is inf, without numpy's warning: the
+    callers reject an infinite mean value with a one-line message.
     """
     half = r / 2.0
-    if half == int(half):
-        return abs_squared ** int(half)
-    with np.errstate(divide="ignore"):  # log 0 = -inf and exp(-inf) = 0
-        out = np.log(abs_squared)
-    out *= half
-    return np.exp(out, out=out)
+    with np.errstate(over="ignore"):
+        if half == int(half):
+            return abs_squared ** int(half)
+        with np.errstate(divide="ignore"):  # log 0 = -inf and exp(-inf) = 0
+            out = np.log(abs_squared)
+        out *= half
+        return np.exp(out, out=out)
 
 
 def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool] | None:
@@ -419,18 +443,27 @@ def _joint_code(words: list[np.ndarray]) -> np.ndarray:
     return code
 
 
-def _sort_reduce(words, parts):
-    """Sum the weight parts over equal codes: one entry per distinct code."""
-    n = len(parts[0])
-    if n == 0:
-        return words, parts
+def _classes(words) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of nonempty code words sorted by code, and the start of each
+    run of equal codes in that order."""
     code = _joint_code(words)
     order = code.argsort()
     code = code[order]
-    new = np.empty(n, dtype=bool)
+    new = np.empty(len(code), dtype=bool)
     new[0] = True
     np.not_equal(code[1:], code[:-1], out=new[1:])
-    starts = new.nonzero()[0]
+    return order, new.nonzero()[0]
+
+
+def _sort_reduce(words, parts):
+    """Sum the weight parts over equal codes: one entry per distinct code.
+
+    A part may carry trailing axes (one column per offset, say): rows are
+    grouped and summed along its first axis.
+    """
+    if len(parts[0]) == 0:
+        return words, parts
+    order, starts = _classes(words)
     first = order[starts]
     return ([word[first] for word in words],
             [np.add.reduceat(part[order], starts) for part in parts])
@@ -508,7 +541,7 @@ def convolution_counts(
     support = len(hist[1][0])
     if max_work is not None:
         cap = math.prod(radices) if moduli is not None else math.inf
-        if sum(min(support**t, cap) * support for t in range(1, s)) > max_work:
+        if _convolution_work(support, s, cap) > max_work:
             return None
     if not support:
         return 0
@@ -523,6 +556,13 @@ def convolution_counts(
             part = part.astype(object)
         total += int(np.dot(part, part))
     return total
+
+
+def _convolution_work(support: int, s: int, cap: float = math.inf) -> int:
+    """W = sum_{t=1}^{s-1} min(|H|^t, cap) |H|: the pairs that the s - 1
+    passes of H^{*s} form at most, for a histogram of |H| = support keys
+    whose convolution powers have at most cap keys."""
+    return sum(min(support**t, cap) * support for t in range(1, s))
 
 
 def _convolve(acc, hist, hist_digits, groups, radices):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparsemv import meanvalue
 from sparsemv.cli import main, parse_rational_list
 from sparsemv.errors import InvalidInputError
 
@@ -526,6 +527,45 @@ def test_mean_values_run_without_mpmath(tmp_path):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")],
                    env=env, check=True, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("r", ["700", "701"])
+def test_overflowing_power_fails_in_one_line(tmp_path, r):
+    # |S|^r passes the float range: numpy's overflow warning must not print
+    script = (
+        "import sys\n"
+        "from sparsemv.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "mv-padic", "--p", "3", "--K", "1",
+         "--sigma", "0,0", "--r", r, "--sampler", "random-phase",
+         "--out", str(tmp_path / "o.csv")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("invalid input: ")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_convolved_offset_sums_do_not_depend_on_threads_or_blocks(
+        tmp_path, capsys, monkeypatch):
+    # moment curve p=3 K=1 sigma (0,0,1) at r = 4 takes the convolution path
+    argv = ["transfer-check", "--k", "3", "--p", "3", "--K", "1", "--sigma", "0,0,1",
+            "--r", "4", "--vectors", "2", "--seed", "5"]
+    outputs = []
+    for block in (None, 32 * 9 * 5):  # default, then 5 offset columns per block
+        if block:
+            monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", block)
+        for threads in ("1", "2"):
+            out = tmp_path / f"{block}-{threads}.csv"
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert len(outputs[0]) > 100
+    assert all(data == outputs[0] for data in outputs)
 
 
 def test_offset_outputs_do_not_depend_on_thread_settings(tmp_path):

@@ -207,6 +207,37 @@ def test_tree_sum_extreme_magnitudes_terminate():
     assert tree_sum(spread) == math.fsum(spread)
 
 
+# ties with 1.0 and its neighbours, signed zeros, subnormals, huge and infinite
+EDGE_TERMS = (1.0, -1.0, 1.0 - 2.0**-53, 2.0**-53, -2.0**-53, 3 * 2.0**-53, 2.0**-54,
+              0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1e308, -1e308,
+              math.inf, -math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_TERMS), st.floats(allow_nan=False)),
+                max_size=40))
+def test_short_sums_are_math_fsum(terms):
+    vals = np.array(terms, dtype=np.float64)
+    assert len(vals) < exact._FSUM_TERMS  # the one-call branch
+    got = tree_sum(vals)
+    try:
+        want = math.fsum(terms)
+    except (OverflowError, ValueError):  # fsum gives up on a partial sum or inf - inf
+        special = [t for t in terms if not math.isfinite(t)]
+        if special:  # numpy's value
+            want = sum(special)
+        else:  # the exact sum, correctly rounded
+            total = sum(map(Fraction, terms))
+            try:
+                want = float(total)
+            except OverflowError:
+                want = math.inf if total > 0 else -math.inf
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 def test_tree_sum_non_finite_propagates_like_numpy():
     assert math.isnan(tree_sum(np.array([1.0, math.nan, 2.0])))
     assert tree_sum(np.array([1.0, math.inf])) == math.inf
@@ -393,7 +424,8 @@ def test_tree_sum_falls_back_when_the_bound_is_huge(kind, n, seed):
 
         mp.setattr(exact, "extract_once", inflated)
         assert tree_sum(vals) == math.fsum(vals)
-        assert calls == ([n] if n else [])
+        # sums below the crossover are one math.fsum call: no extraction
+        assert calls == ([n] if n >= exact._FSUM_TERMS else [])
 
 
 # --- the exact convolution count ---------------------------------------------

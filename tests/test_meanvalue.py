@@ -109,7 +109,8 @@ def test_orthogonality_r2_random_coefficients():
         report = padic_short_mv(PARABOLA, coeffs, 2.0, scale, _sigma(0, 0))
         expected = coeffs.ell_r(2.0)
         assert report.value == pytest.approx(expected, rel=1e-9)
-        assert report.quadrature_error_bound == 0.0
+        # a transform value: its bound is a rounding estimate, not 0
+        assert abs(report.value - expected) <= report.quadrature_error_bound
         assert report.method == "padic-exact"
 
 
@@ -399,6 +400,29 @@ def test_count_runs_only_when_its_work_fits_the_grid():
     counted = real_sparse_mv(PARABOLA, ones, 8.0, scale, sig)
     assert counted.method == "real-count" and counted.quadrature_error_bound == 0.0
     assert counted.value == convolution_counts(keys, [1, 1, 1], 4)
+
+
+@pytest.mark.parametrize("system, p, K, sig, r, amplitude, work", [
+    # parabola N = 3 at r = 8: W = 117 > T = 27 (as above)
+    (PARABOLA, 3, 1, (0, 0), 8, [1, 1, 1], 117),
+    # moment curve N = 3 at r = 8: W = 117 > T = 27
+    (MOMENT3, 3, 1, (0, 1, 2), 8, [1, -1j, 2], 117),
+    # Q(i), N = 2 at r = 6: W = 16 + 64 = 80 > T = 64
+    (GAUSSIAN, 2, 1, (0, 0, 0, 0), 6, [1, 1j, -1 + 1j, 2], 80),
+])
+def test_padic_exact_error_bound_covers_the_integer(system, p, K, sig, r, amplitude,
+                                                    work):
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = CoefficientVector(IndexDomain.box(scale.N, system.dimension), amplitude)
+    cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
+    grid = _GridSum(system, coeffs, cells)
+    assert exact._convolution_work(len(grid._histogram_classes[1]), r // 2,
+                                   grid.total) == work > grid.total
+    count = convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli)
+    report = padic_short_mv(system, coeffs, float(r), scale, _sigma(*sig))
+    assert report.method == "padic-exact"
+    # the transform leaves rounding noise (686.9999999999997 for the first)
+    assert abs(report.value - count) <= report.quadrature_error_bound < 1e-12 * count
 
 
 def test_count_needs_gaussian_integers_without_phase_shift():
@@ -940,6 +964,87 @@ def test_offset_sums_match_direct_oracle(system, p, K, sig):
         assert fsum_rows(weights * sums) == pytest.approx(
             math.fsum(w * e for w, e in zip(weights, expected)), rel=1e-12
         )
+
+
+def _counting_convolutions(monkeypatch):
+    """Record the grid size of every convolution-path block."""
+    runs = []
+    original = _GridSum._convolved_block
+
+    def counting(self, *args):
+        runs.append(self.total)
+        return original(self, *args)
+
+    monkeypatch.setattr(_GridSum, "_convolved_block", counting)
+    return runs
+
+
+@pytest.mark.parametrize("system, p, K, sig", [
+    (MOMENT3, 3, 1, (0, 0, 1)),
+    (MOMENT3, 3, 2, (0, 1, 2)),
+    (GAUSSIAN, 3, 1, (0, 0, 0, 0)),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 0, 0, 0)),
+])
+@pytest.mark.parametrize("sampler", ["random-phase", "random-sparse", "single-point",
+                                     "zero"])
+def test_even_offset_sums_by_convolution_match_direct_oracle(
+        monkeypatch, system, p, K, sig, sampler):
+    # every case takes the convolution at r = 4 (W <= T/4); at r = 6 the
+    # random-phase cases but moment3 p=3 K=1 have W > T/4 and run direct
+    runs = _counting_convolutions(monkeypatch)
+    scale = ScaleSpec(p=p, K=K)
+    domain = IndexDomain.box(scale.N, system.dimension)
+    if sampler == "zero":
+        coeffs = CoefficientVector(domain, np.zeros(len(domain)))
+    else:
+        coeffs = sample_coefficients(sampler, domain, seed=59)
+    cells = build_domain(scale, _sigma(*sig), system.degrees)
+    offsets = _random_offsets(cells.cell_halfwidths, 3, seed=61)
+    grid = _GridSum(system, coeffs, cells.cell_counts)
+    factors = _offset_factors(grid.phase_vals, offsets)
+    rows = _direct_abs_squared(system, coeffs, cells.cell_counts, offsets)
+    for r in (4.0, 6.0):
+        runs.clear()
+        sums = grid.per_offset_power_sum(r, factors)
+        np.testing.assert_allclose(sums, _direct_offset_sums(rows, r), rtol=1e-12)
+        if r == 4.0:
+            assert runs == [grid.total]
+    if sampler == "zero":
+        assert sums.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_even_offset_sums_take_the_convolution_only_below_a_quarter_grid(monkeypatch):
+    runs = _counting_convolutions(monkeypatch)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=5)
+    # parabola p=3 K=2 sigma (0,1): |H| = 9, W = 81 = T
+    assert transfer_check(PARABOLA, coeffs, 4.0, ScaleSpec(p=3, K=2), _sigma(0, 1)).passed
+    assert runs == []
+    # moment curve p=3 K=1 sigma (0,0,1): |H| = 3, W = 9, T = 243, both levels
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=5)
+    assert transfer_check(MOMENT3, coeffs, 4.0, ScaleSpec(p=3, K=1),
+                          _sigma(0, 0, 1)).passed
+    assert runs == [243, 243]
+    runs.clear()  # odd r runs direct
+    transfer_check(MOMENT3, coeffs, 3.0, ScaleSpec(p=3, K=1), _sigma(0, 0, 1))
+    assert runs == []
+
+
+def test_convolution_blocks_and_threads_do_not_change_offset_sums(monkeypatch):
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=67)
+    domain = build_domain(ScaleSpec(p=3, K=1), _sigma(0, 0, 1), MOMENT3.degrees)
+    offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1, 1), 4)
+    factors = _offset_factors(meanvalue._phase_values(MOMENT3, coeffs.domain), offsets)
+    default = _GridSum(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
+        4.0, factors)
+    # a pass of W = 9 pairs takes 32 * 9 bytes per offset column
+    for columns in (1, 7, 100):
+        monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 32 * 9 * columns)
+        for threads in (1, 2):
+            grid = _GridSum(MOMENT3, coeffs, domain.cell_counts, threads=threads)
+            assert grid._convolution_plan(2)[1] == columns
+            assert grid.per_offset_power_sum(4.0, factors).tolist() == default.tolist()
+    monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 32 * 9 - 1)  # no column fits
+    assert _GridSum(MOMENT3, coeffs, domain.cell_counts)._convolution_plan(2) is None
 
 
 def test_phase_values_evaluated_once_per_call(monkeypatch):

@@ -17,6 +17,9 @@ def test_perfbench_tracer_installs_and_counts_grid_sums(tmp_path):
         ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "3"],
         ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
          "--vectors", "1"],
+        # even r on few residues: per-offset sums by convolution
+        ["transfer-check", "--k", "3", "--p", "3", "--K", "1", "--sigma", "0,0,1",
+         "--r", "4", "--vectors", "1"],
     ]
     argvs = [cmd + ["--out", str(tmp_path / f"{i}.csv")]
              for i, cmd in enumerate(commands)]
