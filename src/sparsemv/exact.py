@@ -10,12 +10,15 @@ each total is the correctly rounded sum of its terms and does not depend on
 their order or on how the work was chunked or parallelised.  A short sum is
 a single math.fsum call, which gives the same bits for less fixed cost.
 
-Integer-valued sums of squares of convolution powers, sum_h |H^{*s}(h)|^2,
-are counted with no floating point at all (:func:`convolution_counts`): each
-key vector is packed into one integer by mixed radix (Kronecker
-substitution), so adding keys is adding codes, and each convolution pass is an
-outer sum of codes and an outer product of weights, grouped by a sort and
-``np.add.reduceat``.
+Convolution powers G = H^{*s} of a sparse histogram of integer key vectors
+have one engine (:func:`convolution_power`): each key vector is packed into
+one integer by mixed radix (Kronecker substitution), so adding keys is adding
+codes, and each convolution pass is an outer sum of codes and an outer
+product of weights, grouped by a sort and ``np.add.reduceat``.  Its weights
+are integer parts for the counts sum_h |G(h)|^2, which
+:func:`convolution_counts` forms with no floating point at all (Vinogradov
+counts, ``padic-count`` and ``real-count``), or complex with one column per
+quadrature offset for the even-r per-offset grid sums of ``meanvalue``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from .errors import InvalidInputError
 RationalLike = Union[int, Fraction, "PhaseFraction"]
 
 #: Byte target of one block of intermediate terms: the cells x offsets
-#: samples of a grid-sum block, or the pair terms of one convolution chunk.
+#: samples of a grid-sum block, or the pair terms of one convolution chunk,
+#: which meanvalue's offset column blocks are sized to fill.  meanvalue reads
+#: it from here, so one value sizes both.
 _BLOCK_BYTES = 1 << 22
 
 #: Largest radix product packed into one int64 code word, so that the sum of
@@ -303,9 +308,11 @@ def _total(values: np.ndarray) -> float:
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:
-    """math.fsum down each column of a nonempty 2-d float64 x, bit for bit:
-    one extraction round and its certificate, full extraction for the
-    columns it leaves open.  x is only read."""
+    """math.fsum down each column of a 2-d float64 x, bit for bit: one
+    extraction round and its certificate, full extraction for the columns it
+    leaves open.  x is only read."""
+    if not len(x):
+        return np.zeros(x.shape[1])
     rows, bound, _ = extract_once(x)
     sums, ok = certified(rows, bound)
     if not ok.all():
@@ -374,9 +381,10 @@ def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool] | None:
     if len(parts) == 2 and not parts[1].any():
         parts.pop()
     bound = int(np.abs(ints).max(initial=0)) * len(ints)
-    if bound**s >= _WORD_LIMIT:
+    # a bound of 2 or more passes 2^62 by its 62nd power: a larger s adds nothing
+    if bound ** min(s, 62) >= _WORD_LIMIT:
         parts = [part.astype(object) for part in parts]
-    return parts, bound ** (2 * s) >= _WORD_LIMIT
+    return parts, bound ** min(2 * s, 62) >= _WORD_LIMIT
 
 
 def _word_groups(radices: list[int]) -> tuple[list[list[int]], type]:
@@ -443,18 +451,6 @@ def _joint_code(words: list[np.ndarray]) -> np.ndarray:
     return code
 
 
-def _classes(words) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of nonempty code words sorted by code, and the start of each
-    run of equal codes in that order."""
-    code = _joint_code(words)
-    order = code.argsort()
-    code = code[order]
-    new = np.empty(len(code), dtype=bool)
-    new[0] = True
-    np.not_equal(code[1:], code[:-1], out=new[1:])
-    return order, new.nonzero()[0]
-
-
 def _sort_reduce(words, parts):
     """Sum the weight parts over equal codes: one entry per distinct code.
 
@@ -463,7 +459,14 @@ def _sort_reduce(words, parts):
     """
     if len(parts[0]) == 0:
         return words, parts
-    order, starts = _classes(words)
+    code = _joint_code(words)
+    order = code.argsort()
+    code = code[order]
+    new = np.empty(len(code), dtype=bool)
+    new[0] = True
+    np.not_equal(code[1:], code[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    del code, new  # freed before the gathers below
     first = order[starts]
     return ([word[first] for word in words],
             [np.add.reduceat(part[order], starts) for part in parts])
@@ -479,12 +482,14 @@ def _concat_reduce(pieces):
 
 
 def _outer_products(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Products of every weight of a with every weight of b, row-major."""
+    """Products of every weight of a with every weight of b, row-major; the
+    trailing axes of the parts (columns) multiply elementwise."""
+    def outer(x, y):
+        return (x[:, None] * y[None]).reshape((-1,) + x.shape[1:])
     if len(b) == 1:
-        return [np.multiply.outer(a[0], b[0]).ravel()]
-    re = np.multiply.outer(a[0], b[0]) - np.multiply.outer(a[1], b[1])
-    im = np.multiply.outer(a[0], b[1]) + np.multiply.outer(a[1], b[0])
-    return [re.ravel(), im.ravel()]
+        return [outer(a[0], b[0])]
+    return [outer(a[0], b[0]) - outer(a[1], b[1]),
+            outer(a[0], b[1]) + outer(a[1], b[0])]
 
 
 def convolution_counts(
@@ -492,34 +497,58 @@ def convolution_counts(
 ) -> int | None:
     """sum_h |G(h)|^2 for G = H^{*s}, H[h] = sum {weights[i] : keys[i] = h}.
 
+    ``weights`` holds n numbers, the other arguments are those of
+    :func:`convolution_power`, which convolves their real and imaginary
+    parts as integers.  The result is an exact Python int, or None when some
+    weight is not a Gaussian integer or the work exceeds ``max_work``.
+    """
+    if s < 1:
+        raise InvalidInputError(f"convolution power must be >= 1, got {s}")
+    integer_parts = _integer_parts(weights, s)
+    if integer_parts is None:
+        return None
+    parts, wide_squares = integer_parts
+    G = convolution_power(keys, parts, s, moduli, max_work)
+    if G is None:
+        return None
+    total = 0
+    for part in G:
+        if wide_squares:
+            part = part.astype(object)
+        total += int(np.dot(part, part))
+    return total
+
+
+def convolution_power(keys, parts, s: int, moduli=None, max_work=None):
+    """The parts of G = H^{*s}, one row per key of its support, for the
+    histogram H[h] = sum {parts[i] : keys[i] = h}.
+
     ``keys`` holds the k coordinates of the n keys as k integer arrays, one
-    per axis (int64, or Python ints in object arrays), and ``weights`` n
-    numbers.  Without moduli the convolution is acyclic on Z^k; with moduli
-    M_j it is cyclic on prod Z/M_j.  The result is an exact Python int, or
-    None when some weight is not a Gaussian integer.  With ``max_work``, the
-    result is also None, and no pair is formed, when the work bound
+    per axis (int64, or Python ints in object arrays), and ``parts`` the
+    weights as a list of arrays of n rows: the real and imaginary parts of
+    integer weights, say, or one complex array whose trailing axes carry a
+    column per quadrature offset.  Parts are added and multiplied in their
+    own dtype, column by column.  Without moduli the convolution is acyclic
+    on Z^k; with moduli M_j it is cyclic on prod Z/M_j.  With ``max_work``
+    the result is None, and no pair is formed, when the work bound
     W = sum_{t=1}^{s-1} min(|H|^t, prod M_j) |H| read from the histogram
-    exceeds it.
+    exceeds it.  Keys whose parts cancel to 0 in every column are not in H.
 
     Each key is shifted by its axis minimum and packed by mixed radix, axis
     j with radix s * span_j + 1 (acyclic), so a sum of at most s packed keys
     never carries, or M_j (cyclic), folding digits mod M_j after every pass,
     so the support never exceeds prod M_j.  Each of the s - 1 passes forms
-    the outer sum of codes with H's and the outer product of weights, in
+    the outer sum of codes with H's and the outer product of parts, in
     chunks of about _BLOCK_BYTES, and merges the chunks by the same sort and
     ``np.add.reduceat``.  Work is sum_t |H^{*t}| |H| over the passes.
     """
     if s < 1:
         raise InvalidInputError(f"convolution power must be >= 1, got {s}")
     columns = [np.asarray(col) for col in keys]
-    if any(col.shape != (len(weights),) for col in columns):
+    if any(col.shape != (len(parts[0]),) for col in columns):
         raise InvalidInputError("every key axis needs one coordinate per weight")
-    if not len(weights):
-        return 0
-    integer_parts = _integer_parts(weights, s)
-    if integer_parts is None:
-        return None
-    parts, wide_squares = integer_parts
+    if not len(parts[0]):
+        return parts
     if moduli is None:
         lows = [int(col.min()) for col in columns]
         radices = [s * (int(col.max()) - low) + 1 for col, low in zip(columns, lows)]
@@ -534,46 +563,50 @@ def convolution_counts(
         digits = [col % radix for col, radix in zip(columns, radices)]
     digits = [d.astype(dtype, copy=False) for d in digits]
     words, parts = _sort_reduce(_pack(digits, groups, radices), parts)
-    keep = parts[0] != 0  # keys whose weights cancelled are not in H
-    for part in parts[1:]:
-        keep |= part != 0
+    keep = np.zeros(len(parts[0]), dtype=bool)
+    for part in parts:
+        keep |= (part != 0).reshape(len(part), -1).any(axis=1)
     hist = [word[keep] for word in words], [part[keep] for part in parts]
     support = len(hist[1][0])
-    if max_work is not None:
-        cap = math.prod(radices) if moduli is not None else math.inf
-        if _convolution_work(support, s, cap) > max_work:
-            return None
+    # the radices bound the support of every power, cyclic or acyclic
+    cap = math.prod(radices)
+    if max_work is not None and _convolution_work(support, s, cap) > max_work:
+        return None
     if not support:
-        return 0
+        return hist[1]
     # cyclic passes add digits and fold them; acyclic passes add codes
     hist_digits = _unpack(hist[0], groups, radices) if moduli is not None else None
     acc = hist
     for _ in range(s - 1):
         acc = _convolve(acc, hist, hist_digits, groups, radices)
-    total = 0
-    for part in acc[1]:
-        if wide_squares:
-            part = part.astype(object)
-        total += int(np.dot(part, part))
-    return total
+    return acc[1]
 
 
-def _convolution_work(support: int, s: int, cap: float = math.inf) -> int:
+def _convolution_work(support: int, s: int, cap: int) -> int:
     """W = sum_{t=1}^{s-1} min(|H|^t, cap) |H|: the pairs that the s - 1
     passes of H^{*s} form at most, for a histogram of |H| = support keys
-    whose convolution powers have at most cap keys."""
-    return sum(min(support**t, cap) * support for t in range(1, s))
+    whose convolution powers have at most cap keys.  It takes at most
+    log2(cap) steps, whatever s."""
+    work, size = 0, support
+    for t in range(1, s):
+        if size >= cap or support < 2:  # the remaining passes are all alike
+            return work + (s - t) * min(size, cap) * support
+        work += size * support
+        size *= support
+    return work
 
 
 def _convolve(acc, hist, hist_digits, groups, radices):
-    """One pass acc * H, chunked over the rows of acc (convolution_counts).
+    """One pass acc * H, chunked over the rows of acc (convolution_power).
 
     With H's digits the pass is cyclic: digit sums are folded mod the radix.
+    A pair term takes 16 bytes per code word and 16 for its sort order, and
+    its parts' row twice, as the product and as its sorted copy.
     """
     acc_words, acc_parts = acc
     hist_words, hist_parts = hist
     width = len(hist_parts[0])
-    term_bytes = 16 * (len(acc_words) + len(acc_parts)) + 16
+    term_bytes = 16 * len(acc_words) + 16 + 2 * sum(p[:1].nbytes for p in acc_parts)
     rows = max(1, _BLOCK_BYTES // (term_bytes * width))
     if hist_digits is not None:
         acc_digits = hist_digits if acc is hist else _unpack(acc_words, groups, radices)

@@ -22,8 +22,9 @@ bound.
 Sums with quadrature offsets v (below) are taken per offset, S(iota, v)
 being the grid sum of the modulated coefficients a_n e(v . P(n)).  For
 r = 2s the identity above gives T sum_h |G_v(h)|^2 for the histogram H_v of
-those coefficients, convolved on residue classes and pass pairings that do
-not depend on v, when its work W is at most T/4 (see
+those coefficients, which the convolution engine of the count
+(:func:`exact.convolution_power`) forms for a block of offsets at once, one
+complex column per offset, when its work W is at most T/4 (see
 :meth:`_GridSum.per_offset_power_sum`); these sums agree with the direct
 ones to rounding.  Every other case is one matrix product per block of
 cells: the point table
@@ -56,7 +57,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -69,15 +70,13 @@ from .domains import (
     build_domain,
 )
 from .errors import BudgetExceededError, InvalidInputError
+from . import exact
 from .exact import (
-    _BLOCK_BYTES,
-    _classes,
     _column_sums,
     _convolution_work,
-    _pack,
-    _word_groups,
     certified,
     convolution_counts,
+    convolution_power,
     extract_once,
     extract_partials,
     fsum_rows,
@@ -194,10 +193,7 @@ class MeanValueReport:
     quadrature_error_bound: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise InvalidInputError(
-                f"mean value must be finite and nonnegative, got {self.value}"
-            )
+        _check_value("mean value", self.value)
 
 
 @dataclass(frozen=True)
@@ -208,6 +204,15 @@ class TransferReport:
     tolerance: float
     quadrature_error_bound: float
     grid_size: int
+
+    def __post_init__(self):
+        _check_value("real value", self.real_value)
+        _check_value("p-adic sup", self.padic_sup_over_grid)
+
+
+def _check_value(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise InvalidInputError(f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -248,11 +253,11 @@ def modulate_coefficients(
     """a_n -> a_n e(sum_j v_j P_j(n)); rational v keeps the phases exact."""
     if len(v) != len(system.components):
         raise InvalidInputError("modulation vector length does not match system")
-    exact = all(isinstance(x, (int, Fraction)) for x in v)
+    rational = all(isinstance(x, (int, Fraction)) for x in v)
     phase_vals = _phase_values(system, coeffs.domain)
     shifts: list[Fraction | float] = []
     for idx in range(len(coeffs.domain)):
-        if exact:
+        if rational:
             theta = sum(Fraction(x) * phase_vals[j][idx] for j, x in enumerate(v))
             theta = theta % 1
         else:
@@ -361,75 +366,15 @@ class _GridSum:
         a2 += parts[:, 1::2]
         return modulus_power(a2, r)
 
-    @cached_property
-    def _histogram_classes(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """The points with a_n != 0 grouped by packed residue code: their
-        order, where each class of equal residues starts in it, and each
-        class's residue digits (one array per axis)."""
-        groups, dtype = _word_groups(list(self.moduli))
-        points = np.flatnonzero(self.base)
-        digits = [res[points].astype(dtype) for res in self._residues]
-        if not len(points):
-            return points, points, digits
-        order, starts = _classes(_pack(digits, groups, self.moduli))
-        first = order[starts]
-        return points[order], starts, [d[first] for d in digits]
-
-    def _convolution_plan(self, s: int) -> tuple[list, int] | None:
-        """The s - 1 passes acc <- acc * H of G = H^{*s} cyclic on prod Z/M_j
-        and the offset columns per block, or None where the direct path runs
-        (see per_offset_power_sum).
-
-        A pass pairs every class i of acc with every class j of H.  Its
-        entry (i, j, starts) lists the pairs in code order of their folded
-        digit sums, with the start of each run of equal sums, so the new acc
-        is ``np.add.reduceat(acc[i] * H[j], starts)``.  None of it depends
-        on the offset.
-        """
-        _, starts, hist = self._histogram_classes
-        work = _convolution_work(len(starts), s, self.total)
-        # per offset column: a pass's pair products and acc[i], or the
-        # points' terms and their products with a_n
-        columns = _BLOCK_BYTES // (32 * max(work, len(self.base)))
-        if 4 * work > self.total or not columns:
-            return None
-        groups, _ = _word_groups(list(self.moduli))
-        acc, passes = hist, []
-        for _ in range(s - 1 if len(starts) else 0):
-            digits = [np.add.outer(a, h).ravel() % m
-                      for a, h, m in zip(acc, hist, self.moduli)]
-            order, sums = _classes(_pack(digits, groups, self.moduli))
-            passes.append((*np.divmod(order, len(starts)), sums))
-            first = order[sums]
-            acc = [d[first] for d in digits]
-        return passes, columns
-
-    def _convolved_block(self, passes: list, offset_factors: np.ndarray) -> np.ndarray:
-        """T sum_h |G_v(h)|^2 for a block of offsets v, the sum correctly
-        rounded before the product with T."""
-        points, starts, _ = self._histogram_classes
-        if not len(points):
-            return np.zeros(len(offset_factors))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf is rejected later
-            terms = offset_factors[:, points].T * self.base[points, None]
-            hist = np.add.reduceat(terms, starts)
-            acc = hist
-            for i, j, sums in passes:
-                pairs = acc[i]
-                pairs *= hist[j]
-                acc = np.add.reduceat(pairs, sums)
-            parts = acc.view(np.float64)  # re, im interleaved
-            parts *= parts
-            return self.total * _column_sums(parts[:, 0::2] + parts[:, 1::2])
-
     def per_offset_power_sum(self, r: float, offset_factors: np.ndarray) -> np.ndarray:
         """For each offset v: sum over iota of |S(iota, v)|^r.
 
         For r = 2s the sum is T sum_h |G_v(h)|^2 by Parseval, G_v = H_v^{*s}
-        cyclic on prod Z/M_j for the histogram H_v of a_n e(v . P(n)).  That
-        convolution runs when its work W = sum_{t=1}^{s-1} min(|H|^t, T) |H|
-        (exact._convolution_work, as in :func:`_even_count`) is at most T/4
-        and one offset column of it fits _BLOCK_BYTES.  Timed against the
+        cyclic on prod Z/M_j for the histogram H_v of a_n e(v . P(n)), which
+        exact.convolution_power forms for a block of offsets, one complex
+        column each.  It runs when its work W = sum_{t=1}^{s-1} min(|H|^t,
+        T) |H| (as in :func:`_even_count`) is at most T/4 and one offset
+        column of it fits exact._BLOCK_BYTES.  Timed against the
         direct path on 204 grids (the four systems of the test suite, T from
         1 to 4096, r = 4, 6, 8, random-phase and random-sparse coefficients,
         each domain's fine Gauss node set of V = 512 to 65536 offsets; one
@@ -437,14 +382,14 @@ class _GridSum:
         faster on all 68 grids with W <= T/4 (median 0.11 of the direct
         time, worst 0.97), on 9 of 11 with T/4 < W <= T/2 (median 0.54, worst
         1.44), and on 18 of 125 beyond (median 1.3 to 1.5 up to W = 3T, 3.2
-        past it).  Offsets are taken in column blocks under _BLOCK_BYTES,
-        which may run on several threads; columns are independent, so
-        neither changes a bit.  Each column's sum is rounded once and then
+        past it).  Offsets are taken in column blocks, each one chunk of the
+        engine, which may run on several threads; columns are independent,
+        so neither changes a bit.  Each column's sum is rounded once and then
         multiplied by T, so it agrees with the direct sum to rounding, not
         bit for bit.
 
         The direct path returns the correctly rounded sum of the |S|^r.  It
-        takes row blocks of iota under _BLOCK_BYTES of samples, one GEMM
+        takes row blocks of iota under exact._BLOCK_BYTES of samples, one GEMM
         each, which may run on several threads.  Each block takes one
         extraction round: its [hi, tail] rows fold exactly into a few rows of
         partials, and its bounds E_b add up to at most 2^ceil(log2 B) max_b
@@ -455,16 +400,30 @@ class _GridSum:
         """
         offsets = offset_factors.shape[0]
         s = _half_even(r)
-        plan = self._convolution_plan(s) if s is not None else None
-        if plan is not None:
-            passes, columns = plan
-            blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
-            run = partial(self._convolved_block, passes)
-            if self.threads == 1 or len(blocks) == 1:
-                return np.concatenate(list(map(run, blocks)))
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                return np.concatenate(list(pool.map(run, blocks)))
-        rows = max(1, _BLOCK_BYTES // (16 * offsets))
+        if s is not None:
+            points = np.flatnonzero(self.base)
+            keys = [res[points] for res in self._residues]
+            classes = len(set(zip(*(key.tolist() for key in keys))))
+            work = _convolution_work(classes, s, self.total)
+            # each pass over a block is one chunk of exact._convolve: a pair
+            # takes 32 bytes and 32 more per offset column
+            columns = (exact._BLOCK_BYTES // max(work, len(self.base)) - 32) // 32
+            if 4 * work <= self.total and columns > 0:
+                def convolved(block: np.ndarray) -> np.ndarray:
+                    # inf is rejected later
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        terms = block[:, points].T * self.base[points, None]
+                        G = convolution_power(keys, [terms], s, self.moduli)[0]
+                        parts = G.view(np.float64)  # re, im interleaved
+                        parts *= parts
+                        return self.total * _column_sums(parts[:, 0::2] + parts[:, 1::2])
+
+                blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
+                if self.threads == 1 or len(blocks) == 1:
+                    return np.concatenate(list(map(convolved, blocks)))
+                with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                    return np.concatenate(list(pool.map(convolved, blocks)))
+        rows = max(1, exact._BLOCK_BYTES // (16 * offsets))
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
 
         def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -711,6 +670,8 @@ def transfer_check(
     the same fine-level per-offset sums.
     """
     _check_exponent(r)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidInputError(f"tolerance must be a finite number >= 0, got {tol}")
     quad = quad or QuadratureConfig()
     domain = build_domain(scale, sigma, system.degrees)
     _check_cell_budget(domain, budget)

@@ -283,7 +283,7 @@ def expand_trace_phase(minpoly: MinimalPolynomial, k: int) -> PhaseSystem:
     if k < 1:
         raise InvalidInputError("k must be >= 1")
     d = minpoly.degree
-    traces = trace_powers(minpoly, k * d)
+    traces = trace_powers(minpoly, (k + 1) * (d - 1))  # the largest power below
     components = []
     for j in range(1, k + 1):
         for ell in range(d):

@@ -2,22 +2,27 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sparsemv import meanvalue
+from sparsemv import cli, exact
 from sparsemv.cli import main, parse_rational_list
 from sparsemv.errors import InvalidInputError
+from sparsemv.meanvalue import SAMPLER_NAMES
 
 
 def run(args, capsys):
@@ -350,7 +355,7 @@ def test_mv_real_matches_padic_small(tmp_path, capsys):
     assert float(read_rows(out_file)[1][7]) == pytest.approx(15.0, rel=1e-6)
 
 
-def test_transfer_check_pass_and_forced_failure(tmp_path, capsys):
+def test_transfer_check_pass_and_forced_failure(tmp_path, capsys, monkeypatch):
     out_file = tmp_path / "tc.csv"
     base = ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1",
             "--r", "4", "--vectors", "3", "--seed", "9", "--out", str(out_file)]
@@ -360,10 +365,46 @@ def test_transfer_check_pass_and_forced_failure(tmp_path, capsys):
     rows = read_rows(out_file)
     assert rows[0][-3:] == ["padic_sup", "passed", "grid_size"]
     assert all(row[-2] == "1" for row in rows[1:])
-    # impossible tolerance forces the failing branch and exit code 2
-    code, _, err = run(base + ["--tol", "-1"], capsys)
+    # no valid tolerance fails the comparison (tol < 0 exits 1), so a failing
+    # report is forced: the failing branch writes passed = 0 and exits 2
+    check = cli.transfer_check
+
+    def failing(*args, **kwargs):
+        return dataclasses.replace(check(*args, **kwargs), passed=False)
+
+    monkeypatch.setattr(cli, "transfer_check", failing)
+    code, _, err = run(base, capsys)
     assert code == 2
-    assert "verification failed" in err
+    assert "verification failed: 3 coefficient vectors failed" in err
+    assert all(row[-2] == "0" for row in read_rows(out_file)[1:])
+
+
+@pytest.mark.parametrize("args", [
+    ["--r", "700"],  # |S|^r past the float range: the real value is inf
+    ["--r", "701"],
+    ["--r", "4", "--tol", "-1"],
+    ["--r", "4", "--tol", "nan"],
+    ["--r", "4", "--tol", "inf"],
+])
+def test_transfer_check_rejects_non_finite_sides_and_bad_tolerance(tmp_path, args):
+    # a subprocess, so that numpy warnings would show on stderr
+    script = (
+        "import sys\n"
+        "from sparsemv.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "transfer-check", "--k", "3", "--p", "3",
+         "--K", "1", "--sigma", "0,0,1", "--vectors", "1",
+         "--out", str(tmp_path / "o.csv")] + args,
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("invalid input: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_transfer_check_all_zero_coefficients(tmp_path, capsys):
@@ -556,9 +597,11 @@ def test_convolved_offset_sums_do_not_depend_on_threads_or_blocks(
     argv = ["transfer-check", "--k", "3", "--p", "3", "--K", "1", "--sigma", "0,0,1",
             "--r", "4", "--vectors", "2", "--seed", "5"]
     outputs = []
-    for block in (None, 32 * 9 * 5):  # default, then 5 offset columns per block
+    # default, then 5 offset columns per block: W = 9 pairs of 32 bytes and 32
+    # more per column
+    for block in (None, 9 * 32 * (5 + 1)):
         if block:
-            monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", block)
+            monkeypatch.setattr(exact, "_BLOCK_BYTES", block)
         for threads in ("1", "2"):
             out = tmp_path / f"{block}-{threads}.csv"
             assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
@@ -569,13 +612,16 @@ def test_convolved_offset_sums_do_not_depend_on_threads_or_blocks(
 
 
 def test_offset_outputs_do_not_depend_on_thread_settings(tmp_path):
-    # --threads splits the offset engine's row blocks over worker threads and
-    # OPENBLAS_NUM_THREADS splits each GEMM; neither may change a CSV byte
+    # --threads splits the offset row or column blocks over worker threads
+    # and OPENBLAS_NUM_THREADS splits each GEMM; neither may change a CSV byte
     commands = [
         ["transfer-check", "--p", "3", "--K", "2", "--sigma", "0,1", "--r", "4",
          "--vectors", "2", "--seed", "5"],
         ["mv-real", "--p", "5", "--K", "2", "--sigma", "0,1/2", "--r", "3",
          "--sampler", "random-phase", "--seed", "5"],
+        # even r on few residues: the convolution over many offset column blocks
+        ["transfer-check", "--k", "3", "--p", "3", "--K", "2", "--sigma", "0,1,2",
+         "--r", "4", "--vectors", "1", "--seed", "5"],
     ]
     script = (
         "import sys, json\n"
@@ -602,3 +648,77 @@ def test_offset_outputs_do_not_depend_on_thread_settings(tmp_path):
     assert all(len(data) > 100 for data in first)
     for tag, data in outputs.items():
         assert data == first, tag
+
+
+# --- fuzzed arguments ----------------------------------------------------------
+
+def _mostly(valid, invalid):
+    """A valid argument seven times in eight, else an invalid one."""
+    return st.sampled_from(list(valid) * (7 * len(invalid)) + list(invalid) * len(valid))
+
+
+_BAD_INTS = ["-1", "0", "1/2", "x", ""]
+_BAD_FLOATS = ["-1", "0", "1/2", "700", "1e308", "nan", "inf", "-inf", "x"]
+#: minimal polynomials by degree (0: invalid); the degree bounds k, so that
+#: every call stays small
+_FIELDS = {"0": 1, "1,0": 2, "-2,0,0": 3, "0,0": 0, "1/2,0": 0, "1/0": 0, "nan": 0,
+           "": 0}
+_MINPOLYS = _mostly(["0", "1,0", "-2,0,0"], [f for f, d in _FIELDS.items() if not d])
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(["mv-padic", "mv-real", "transfer-check",
+                                    "vinogradov", "counterexample"]))
+    argv = [command]
+    if command == "vinogradov":
+        small = _mostly(["1", "2", "3"], _BAD_INTS)
+        argv += ["--minpoly", draw(_MINPOLYS),
+                 "--s", draw(small), "--k", draw(small),
+                 "--N", ",".join(draw(st.lists(_mostly(["1", "2", "4"], _BAD_INTS),
+                                               min_size=1, max_size=3)))]
+        return argv + (["--transcendental"] if draw(st.booleans()) else [])
+    if command == "counterexample":
+        return argv + [
+            "--p", draw(_mostly(["3", "5", "13"], ["-3", "0", "1", "2", "4"])),
+            "--kmax", draw(_mostly(["1", "2"], _BAD_INTS)),
+            "--r", ",".join(draw(st.lists(_mostly(["2", "4", "2.5"], _BAD_FLOATS),
+                                          min_size=1, max_size=2)))]
+    minpoly = draw(_MINPOLYS)
+    degree = max(_FIELDS[minpoly], 1)
+    k = draw(_mostly([str(k) for k in range(1, 5 - degree)], ["-1", "0", "x"]))
+    K = draw(_mostly(["1"], ["-1", "0", "2"]))
+    p = "2" if K == "2" else draw(_mostly(["2", "3"], ["-3", "0", "1", "4"]))
+    width = degree * int(k) if k.isdigit() else 1
+    width = draw(st.sampled_from([width, width, width, 1, width + 1]))
+    sigma = _mostly(["0", "0", "1", "1/2"], ["-1", "1/0", "nan", "inf", "", "x"])
+    argv += ["--minpoly", minpoly, "--k", k, "--p", p, "--K", K,
+             "--sigma", ",".join(draw(st.lists(sigma, min_size=width, max_size=width))),
+             "--r", draw(_mostly(["2", "3", "4", "6", "2.5"], _BAD_FLOATS)),
+             "--sampler", draw(st.sampled_from(SAMPLER_NAMES)),
+             "--seed", draw(st.sampled_from(["0", "7", "-1"]))]
+    if command != "mv-padic":
+        argv += ["--quad-order", draw(_mostly(["1", "2", "4"], ["-1", "0"]))]
+        if draw(st.booleans()):
+            argv += ["--quad-depth", draw(_mostly(["0", "1"], ["-1", "30"]))]
+    if command == "transfer-check":
+        argv += ["--vectors", draw(_mostly(["1", "2"], ["-1", "0"])),
+                 "--tol", draw(_mostly(["0", "1e-6", "0.5"], _BAD_FLOATS))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzzed_argv())
+def test_fuzzed_arguments_exit_with_a_code_and_at_most_one_line(tmp_path, argv):
+    # in process: an uncaught exception fails the test, and a numpy or Python
+    # warning, which a command line run would print, counts as a stderr line
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(tmp_path / "fuzz.csv")])
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert len(lines) <= 1, (argv, lines)
+    assert (code == 0) == (not lines), (argv, lines)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -488,3 +489,33 @@ def test_convolution_counts_past_int64():
     heavy = [2**40, 3, -(2**41)]
     assert convolution_counts([[0, 1, 3]], heavy, 3, [4]) == \
         _dict_convolution_count([[0], [1], [3]], heavy, 3, [4])
+
+
+def test_convolution_work_is_its_sum_in_few_steps_for_any_s():
+    for n in range(6):
+        for s in range(6):
+            for cap in (1, 5, 27, 10**9):
+                assert exact._convolution_work(n, s, cap) == \
+                    sum(min(n**t, cap) * n for t in range(1, s))
+    # r = 1e308 is an even exponent: s = 5e307 passes, summed in closed form
+    s = 5 * 10**307
+    assert exact._convolution_work(3, s, 27) == 9 + 27 + 81 * (s - 3)
+    assert exact._convolution_work(1, s, 27) == s - 1
+
+
+def test_convolution_chunks_count_the_offset_columns(monkeypatch):
+    # 50 keys with 64 complex columns each: one pass forms 2500 pairs of
+    # 1 KB, so at a 256 KB block the pairs must be split into chunks
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 1 << 18)
+    rng = np.random.default_rng(5)
+    weights = rng.standard_normal((50, 64)) + 1j * rng.standard_normal((50, 64))
+    tracemalloc.start()
+    try:
+        G = exact.convolution_power([np.arange(50)], [weights], 2)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * exact._BLOCK_BYTES  # 3.5 blocks measured; 20 in one chunk
+    for j in range(64):  # keys 0..49 summed in pairs: a plain convolution
+        np.testing.assert_allclose(G[:, j], np.convolve(weights[:, j], weights[:, j]),
+                                   rtol=1e-12, atol=1e-12)

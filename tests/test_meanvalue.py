@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -416,13 +417,39 @@ def test_padic_exact_error_bound_covers_the_integer(system, p, K, sig, r, amplit
     coeffs = CoefficientVector(IndexDomain.box(scale.N, system.dimension), amplitude)
     cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
     grid = _GridSum(system, coeffs, cells)
-    assert exact._convolution_work(len(grid._histogram_classes[1]), r // 2,
-                                   grid.total) == work > grid.total
     count = convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli)
+    # the count's work bound is W = work > T: it runs under max_work = W only
+    assert work > grid.total
+    assert convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli,
+                              max_work=work) == count
+    assert convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli,
+                              max_work=work - 1) is None
     report = padic_short_mv(system, coeffs, float(r), scale, _sigma(*sig))
     assert report.method == "padic-exact"
     # the transform leaves rounding noise (686.9999999999997 for the first)
     assert abs(report.value - count) <= report.quadrature_error_bound < 1e-12 * count
+
+
+def test_huge_even_exponent_runs_without_looping_over_its_passes():
+    # r = 1e308 is an even integer, s = 5e307: the work bound and the
+    # integer-size checks stay small, and the transform gives |S|^r
+    scale = ScaleSpec(p=3, K=1)
+    domain = IndexDomain.box(3, 1)
+    single = sample_coefficients("single-point", domain, seed=0)
+    report = padic_short_mv(PARABOLA, single, 1e308, scale, _sigma(0, 0))
+    assert (report.value, report.method) == (1.0, "padic-exact")  # |S| = 1
+    assert transfer_check(PARABOLA, single, 1e308, scale, _sigma(0, 1)).passed
+    with pytest.raises(InvalidInputError):  # |S| = 3 at the zero cell: inf
+        padic_short_mv(PARABOLA, CoefficientVector.ones(domain), 1e308, scale,
+                       _sigma(0, 0))
+
+
+@pytest.mark.parametrize("real, sup", [(math.inf, 1.0), (1.0, math.inf),
+                                       (math.nan, 1.0), (1.0, -1.0)])
+def test_transfer_report_rejects_a_side_that_is_not_finite(real, sup):
+    with pytest.raises(InvalidInputError):
+        meanvalue.TransferReport(real_value=real, padic_sup_over_grid=sup, passed=True,
+                                 tolerance=0.0, quadrature_error_bound=0.0, grid_size=1)
 
 
 def test_count_needs_gaussian_integers_without_phase_shift():
@@ -801,7 +828,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
     grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     V = len(offsets)
-    default_rows = meanvalue._BLOCK_BYTES // (16 * V)
+    default_rows = exact._BLOCK_BYTES // (16 * V)
     assert default_rows >= grid.total  # the default is one block here
     columns_by_rows = {}
     for rows in (1, 7, default_rows):
@@ -815,7 +842,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
         assert terms.shape == (grid.total, V)
         expected_columns = [math.fsum(terms[:, j]) for j in range(V)]
         expected_total = math.fsum(w * c for w, c in zip(weights, expected_columns))
-        monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 16 * V * rows)
+        monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * V * rows)
         for threads in (1, 2):
             grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
             per_offset = grid.per_offset_power_sum(4.0, factors)
@@ -842,7 +869,7 @@ def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
         for lo in range(0, grid.total, rows)
     ])
     expected = [math.fsum(terms[:, j]) for j in range(V)]
-    monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 16 * V * rows)
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * V * rows)
     original = meanvalue.extract_once
 
     def inflated(x):
@@ -879,7 +906,7 @@ def test_offset_sums_near_and_past_the_float_range(monkeypatch, r, rows):
     factors = _offset_factors(grid.phase_vals, offsets)
     if rows is None:
         rows = grid.total
-    monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 16 * len(offsets) * rows)
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * len(offsets) * rows)
     with np.errstate(over="ignore"):
         terms = np.concatenate([  # block by block, as the engine forms them
             grid._power_block(lo, min(lo + rows, grid.total), r, factors)
@@ -967,15 +994,16 @@ def test_offset_sums_match_direct_oracle(system, p, K, sig):
 
 
 def _counting_convolutions(monkeypatch):
-    """Record the grid size of every convolution-path block."""
+    """Record the grid size and the offset columns of every call that the
+    per-offset sums make to the convolution engine."""
     runs = []
-    original = _GridSum._convolved_block
+    original = meanvalue.convolution_power
 
-    def counting(self, *args):
-        runs.append(self.total)
-        return original(self, *args)
+    def counting(keys, parts, s, moduli=None, max_work=None):
+        runs.append((math.prod(moduli), parts[0].shape[1]))
+        return original(keys, parts, s, moduli, max_work)
 
-    monkeypatch.setattr(_GridSum, "_convolved_block", counting)
+    monkeypatch.setattr(meanvalue, "convolution_power", counting)
     return runs
 
 
@@ -1008,9 +1036,50 @@ def test_even_offset_sums_by_convolution_match_direct_oracle(
         sums = grid.per_offset_power_sum(r, factors)
         np.testing.assert_allclose(sums, _direct_offset_sums(rows, r), rtol=1e-12)
         if r == 4.0:
-            assert runs == [grid.total]
+            assert runs == [(grid.total, len(offsets))]
     if sampler == "zero":
         assert sums.tolist() == [0.0, 0.0, 0.0]
+
+
+#: (system, p, K, sigma, even r) whose offset sums take the convolution for
+#: every Gaussian-integer coefficient vector: W <= T/4 at full support
+ZERO_OFFSET_CASES = [
+    (PARABOLA, 3, 2, (0, 0), 4),
+    (PARABOLA, 5, 2, (0, Fraction(1, 2)), 4),
+    (MOMENT3, 3, 1, (0, 0, 0), 6),
+    (MOMENT3, 3, 1, (0, 0, 1), 4),
+    (MOMENT3, 3, 1, (0, 0, 1), 6),
+    (GAUSSIAN, 3, 1, (0, 0, 0, 0), 4),
+    (GAUSSIAN, 2, 2, (0, 0, Fraction(1, 2), Fraction(1, 2)), 4),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 0, 0, 0), 4),
+    (CUBE_ROOT_2, 2, 1, (0, 0, 0, 0, 0, 1), 4),
+]
+
+
+@st.composite
+def _zero_offset_case(draw):
+    system, p, K, sig, r = draw(st.sampled_from(ZERO_OFFSET_CASES))
+    domain = IndexDomain.box(p**K, system.dimension)
+    parts = st.integers(min_value=-2, max_value=2)
+    amplitude = draw(st.lists(st.builds(complex, parts, parts),
+                              min_size=len(domain), max_size=len(domain)))
+    return system, ScaleSpec(p=p, K=K), _sigma(*sig), CoefficientVector(domain, amplitude), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(_zero_offset_case())
+def test_offset_convolution_at_zero_offset_is_the_integer_count(case):
+    # the engine's two users: complex offset columns against integer parts
+    system, scale, sig, coeffs, r = case
+    cells = build_domain(scale, sig, system.degrees).cell_counts
+    grid = _GridSum(system, coeffs, cells)
+    zero = _offset_factors(grid.phase_vals, np.zeros((1, len(system.components))))
+    with mock.patch.object(meanvalue, "convolution_power",
+                           wraps=meanvalue.convolution_power) as engine:
+        sums = grid.per_offset_power_sum(float(r), zero)
+    assert engine.call_count == 1  # the convolution, not the GEMM
+    count = convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli)
+    np.testing.assert_allclose(sums, [grid.total * count], rtol=1e-15, atol=0)
 
 
 def test_even_offset_sums_take_the_convolution_only_below_a_quarter_grid(monkeypatch):
@@ -1023,28 +1092,38 @@ def test_even_offset_sums_take_the_convolution_only_below_a_quarter_grid(monkeyp
     coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=5)
     assert transfer_check(MOMENT3, coeffs, 4.0, ScaleSpec(p=3, K=1),
                           _sigma(0, 0, 1)).passed
-    assert runs == [243, 243]
+    assert [total for total, _ in runs] == [243, 243]
     runs.clear()  # odd r runs direct
     transfer_check(MOMENT3, coeffs, 3.0, ScaleSpec(p=3, K=1), _sigma(0, 0, 1))
     assert runs == []
 
 
 def test_convolution_blocks_and_threads_do_not_change_offset_sums(monkeypatch):
+    runs = _counting_convolutions(monkeypatch)
     coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=67)
     domain = build_domain(ScaleSpec(p=3, K=1), _sigma(0, 0, 1), MOMENT3.degrees)
     offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1, 1), 4)
     factors = _offset_factors(meanvalue._phase_values(MOMENT3, coeffs.domain), offsets)
+    V = len(offsets)
     default = _GridSum(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
         4.0, factors)
-    # a pass of W = 9 pairs takes 32 * 9 bytes per offset column
+    assert runs == [(243, V)]  # one block
+    # a pass of W = 9 pairs takes 32 bytes per pair and 32 more per offset column
     for columns in (1, 7, 100):
-        monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 32 * 9 * columns)
+        monkeypatch.setattr(exact, "_BLOCK_BYTES", 9 * 32 * (columns + 1))
         for threads in (1, 2):
+            runs.clear()
             grid = _GridSum(MOMENT3, coeffs, domain.cell_counts, threads=threads)
-            assert grid._convolution_plan(2)[1] == columns
             assert grid.per_offset_power_sum(4.0, factors).tolist() == default.tolist()
-    monkeypatch.setattr(meanvalue, "_BLOCK_BYTES", 32 * 9 - 1)  # no column fits
-    assert _GridSum(MOMENT3, coeffs, domain.cell_counts)._convolution_plan(2) is None
+            blocks = [width for _, width in runs]
+            assert sum(blocks) == V and max(blocks) == columns
+            assert len(blocks) == -(-V // columns)
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 9 * 64 - 1)  # no column fits
+    runs.clear()
+    direct = _GridSum(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
+        4.0, factors)
+    assert runs == []
+    np.testing.assert_allclose(direct, default, rtol=1e-13)
 
 
 def test_phase_values_evaluated_once_per_call(monkeypatch):

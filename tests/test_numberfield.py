@@ -238,6 +238,17 @@ def test_expand_matches_symbolic_field_oracle(poly):
         assert generated == oracle, (poly.coeffs, comp.j, comp.ell)
 
 
+@pytest.mark.parametrize("poly, k", [(X3M2, 1), (MinimalPolynomial.parse("-2,0,0,0"), 1),
+                                     (MinimalPolynomial.parse("-2,0,0,0"), 2)])
+def test_expand_below_degree_matches_symbolic_field_oracle(poly, k):
+    # k < d - 1 needs traces past alpha^(k d): up to alpha^((k + 1)(d - 1))
+    for comp in expand_trace_phase(poly, k).components:
+        generated = {
+            e: Fraction(c) * comp.scale for e, c in comp.coefficient_map().items()
+        }
+        assert generated == _symbolic_trace_component(poly, comp.j, comp.ell)
+
+
 def test_expand_x2p1_k3_components():
     # frozen expected system: real/imaginary parts of (n0 + i n1)^j, i.e. the
     # epsilon-table expansion, content-normalized with the scale recorded
