@@ -2,12 +2,12 @@
 
 Library layout:
 
-- :mod:`sparsemv.exact` — exact phases mod 1, unit roots, exact
-  order-independent summation.
+- :mod:`sparsemv.exact` — root tables, exact order-independent summation,
+  exact convolution counts.
 - :mod:`sparsemv.numberfield` — minimal polynomials, power traces, and the
   trace-expanded phase systems.
-- :mod:`sparsemv.padic` — scales N = p**K, the standard additive character,
-  valuations, Hensel lifting of sqrt(-1).
+- :mod:`sparsemv.padic` — scales N = p**K, primality, Hensel lifting of
+  sqrt(-1).
 - :mod:`sparsemv.domains` — sparse product-cell subdomains of the torus.
 - :mod:`sparsemv.meanvalue` — p-adic short mean values, real sparse mean
   values, transference checks, restriction-constant lower bounds.
@@ -20,7 +20,6 @@ Library layout:
 
 from .counterexample import (
     CounterexampleFamily,
-    decoupling_ratio,
     single_norm,
     sum_norm,
     verify_paraboloid_membership,
@@ -32,14 +31,13 @@ from .domains import (
     emit_cell_csv,
     enumerate_cells,
 )
-from .exact import PhaseFraction, tree_sum, unit_root
+from .exact import tree_sum
 from .meanvalue import (
     CoefficientVector,
     IndexDomain,
     MeanValueReport,
     corollary_ratio_experiment,
     estimate_restriction_constant,
-    modulate_coefficients,
     padic_short_mv,
     real_sparse_mv,
     sample_coefficients,
@@ -59,10 +57,8 @@ from .numberfield import (
 from .padic import (
     HenselRoot,
     ScaleSpec,
-    chi_p,
     hensel_sqrt_minus_one,
     is_prime,
-    valuation,
 )
 from .quadrature import QuadratureConfig
 from .vinogradov import count_solutions, count_solutions_brute, fit_growth
@@ -77,17 +73,14 @@ __all__ = [
     "LocalizationVector",
     "MeanValueReport",
     "MinimalPolynomial",
-    "PhaseFraction",
     "PhaseSystem",
     "QuadratureConfig",
     "ScaleSpec",
     "SparseDomain",
     "build_domain",
-    "chi_p",
     "corollary_ratio_experiment",
     "count_solutions",
     "count_solutions_brute",
-    "decoupling_ratio",
     "emit_cell_csv",
     "enumerate_cells",
     "epsilon_table",
@@ -98,7 +91,6 @@ __all__ = [
     "fit_growth",
     "hensel_sqrt_minus_one",
     "is_prime",
-    "modulate_coefficients",
     "moment_curve",
     "padic_short_mv",
     "parabola_system",
@@ -109,7 +101,5 @@ __all__ = [
     "trace_power",
     "transfer_check",
     "tree_sum",
-    "unit_root",
-    "valuation",
     "verify_paraboloid_membership",
 ]

@@ -2,7 +2,10 @@
 
 For p = 1 mod 4, N = p^k, and xi with xi^2 = -1 mod N^2, the family is
 
-    f_n(x) = 1[x in p^(-2k) Z_p^3] * chi_p(x . (n xi, n, 0)),   0 <= n < N.
+    f_n(x) = 1[x in p^(-2k) Z_p^3] * e_p(x . (n xi, n, 0)),   0 <= n < N,
+
+e_p the standard additive character of Q_p, e_p(q) = e(q) for rationals q
+with p-power denominators.
 
 Each frequency (n xi, n, 0) lies on the paraboloid (a, b, a^2 + b^2) to cap
 scale because (n xi)^2 + n^2 = n^2 (xi^2 + 1) = 0 mod N^2.
@@ -11,10 +14,10 @@ Norm reduction, used by sum_norm
 --------------------------------
 On the ball B = p^(-2k) Z_p^3 (Haar measure N^6, with mu(Z_p) = 1):
 
-    sum_n f_n(x) = sum_n chi_p(x_1 n xi + x_2 n)  =  sum_n chi_p(t n),
+    sum_n f_n(x) = sum_n e_p(x_1 n xi + x_2 n)  =  sum_n e_p(t n),
 
 with t = x_1 xi + x_2; the third coordinate never enters because the third
-frequency component is 0.  chi_p(t n) only depends on t modulo Z_p, and t mod
+frequency component is 0.  e_p(t n) only depends on t modulo Z_p, and t mod
 Z_p ranges over the N^2 classes w / N^2, w in Z/N^2 (denominators divide N^2
 since x_1, x_2 in p^(-2k) Z_p).  The map (x_1, x_2) -> t is measure-preserving
 onto each class: for fixed x_1 it is a translation in x_2.  Hence each class
@@ -88,16 +91,6 @@ def sum_norm(fam: CounterexampleFamily, budget: int = DEFAULT_TERM_BUDGET) -> fl
     return (float(N) ** 4 * total) ** (1.0 / fam.r)
 
 
-def decoupling_ratio(fam: CounterexampleFamily, budget: int = DEFAULT_TERM_BUDGET) -> float:
-    """|| sum f_n ||_r / (sum_n ||f_n||_r^2)^(1/2).
-
-    The denominator is (N * N^(12/r))^(1/2) exactly; at r = 2 orthogonality
-    of the N distinct characters on the ball makes the ratio exactly 1.
-    """
-    denominator = float(fam.N) ** (0.5 + 6.0 / fam.r)
-    return sum_norm(fam, budget=budget) / denominator
-
-
 def verify_paraboloid_membership(fam: CounterexampleFamily) -> bool:
     """Check (n xi)^2 + n^2 = 0 mod N^2 for every 0 <= n < N."""
     M = fam.N * fam.N
@@ -114,6 +107,8 @@ def growth_table(
         fam = CounterexampleFamily.build(p, k, r)
         sn = single_norm(fam)
         total = sum_norm(fam, budget=budget)
+        # || sum f_n ||_r / (sum_n ||f_n||_r^2)^(1/2), whose denominator is
+        # (N * N^(12/r))^(1/2); orthogonality makes the ratio 1 at r = 2
         ratio = total / float(fam.N) ** (0.5 + 6.0 / fam.r)
         rows.append(
             {

@@ -1,10 +1,11 @@
-"""Exact phase arithmetic, exact order-independent summation, exact counting.
+"""Root tables, exact order-independent summation, exact counting.
 
-Phases are tracked as exact rationals modulo 1; floating point enters only
-when a phase is finally turned into a point on the unit circle.  Every large
-reduction takes one round of error-free extraction, which numpy forms without
-rounding, plus a float sum of the remainder with a power-of-two error bound,
-and rounds the two once with math.fsum's algorithm.  When the bound leaves
+Grid phases arrive as exact integer residues t mod m; floating point enters
+only when :func:`root_table` turns them into points e(t/m) on the unit
+circle.  Every large reduction takes one round of error-free extraction,
+which numpy forms without rounding, plus a float sum of the remainder with a
+power-of-two error bound, and rounds the two once with math.fsum's
+algorithm.  When the bound leaves
 the rounding open, the remaining extraction rounds run on the remainder.  So
 each total is the correctly rounded sum of its terms and does not depend on
 their order or on how the work was chunked or parallelised.  A short sum is
@@ -24,14 +25,11 @@ quadrature offset for the even-r per-offset grid sums of ``meanvalue``.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-RationalLike = Union[int, Fraction, "PhaseFraction"]
 
 #: Byte target of one block of intermediate terms: the cells x offsets
 #: samples of a grid-sum block, or the pair terms of one convolution chunk,
@@ -56,83 +54,6 @@ _FSUM_TERMS = 512
 #: only linearly.  Extraction partials have a few rows; only the terms of
 #: columns past the float range (which extraction passes on whole) have more.
 _VECTOR_ROWS = 16
-
-
-class PhaseFraction:
-    """An exact rational phase reduced into [0, 1).
-
-    Supports exact addition and integer scalar multiplication; the value is
-    always kept reduced modulo 1.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, q: RationalLike):
-        if isinstance(q, PhaseFraction):
-            self.value = q.value
-        else:
-            self.value = Fraction(q) % 1
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def __add__(self, other: RationalLike) -> "PhaseFraction":
-        other_value = other.value if isinstance(other, PhaseFraction) else other
-        return PhaseFraction(self.value + other_value)
-
-    __radd__ = __add__
-
-    def __mul__(self, scalar: int) -> "PhaseFraction":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return PhaseFraction(self.value * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PhaseFraction":
-        return PhaseFraction(-self.value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PhaseFraction):
-            return self.value == other.value
-        return self.value == other
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __repr__(self) -> str:
-        return f"PhaseFraction({self.value})"
-
-
-def unit_root(q: RationalLike | float) -> complex:
-    """Return e(q) = exp(2*pi*i*q) as a Python complex whose components are
-    accurate to a couple of ulps."""
-    if isinstance(q, PhaseFraction):
-        q = q.value
-    # Exact quadrant reduction keeps the evaluated angle below pi/2, where a
-    # single libm call stays within ~1 ulp; the quadrant rotation is exact.
-    if isinstance(q, (int, Fraction)):
-        x = Fraction(q) % 1
-        quadrant = int(4 * x)
-        t = float(x - Fraction(quadrant, 4))
-    else:
-        x = float(q) % 1.0
-        quadrant = min(int(4.0 * x), 3)
-        t = x - 0.25 * quadrant  # exact: quarter steps are representable
-    angle = math.tau * t
-    c, s = math.cos(angle), math.sin(angle)
-    if quadrant == 0:
-        return complex(c, s)
-    if quadrant == 1:
-        return complex(-s, c)
-    if quadrant == 2:
-        return complex(-c, -s)
-    return complex(s, -c)
 
 
 def root_table(modulus: int) -> np.ndarray:

@@ -57,7 +57,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +83,6 @@ from .exact import (
     modulus_power,
     root_table,
     tree_sum,
-    unit_root,
 )
 from .numberfield import PhaseSystem
 from .padic import ScaleSpec
@@ -132,49 +131,26 @@ class IndexDomain:
 
 
 class CoefficientVector:
-    """Complex coefficients over an index domain, with exact phase bookkeeping.
+    """Complex coefficients a_n over an index domain."""
 
-    The modulus of every entry lives in ``amplitude``; modulations only append
-    to ``phase_shift`` (rational shifts stay exact), so the l^r norm of the
-    vector is invariant under modulation by construction.
-    """
-
-    def __init__(
-        self,
-        domain: IndexDomain,
-        amplitude: Sequence[complex],
-        phase_shift: Sequence[Fraction | float] | None = None,
-    ):
+    def __init__(self, domain: IndexDomain, amplitude: Sequence[complex]):
         self.domain = domain
         self.amplitude = np.asarray(amplitude, dtype=np.complex128)
         if self.amplitude.shape != (len(domain),):
             raise InvalidInputError("amplitude length does not match domain")
-        if phase_shift is not None and len(phase_shift) != len(domain):
-            raise InvalidInputError("phase shift length does not match domain")
-        self.phase_shift = tuple(phase_shift) if phase_shift is not None else None
 
     @classmethod
     def ones(cls, domain: IndexDomain) -> "CoefficientVector":
         return cls(domain, np.ones(len(domain), dtype=np.complex128))
 
     def values(self) -> np.ndarray:
-        """Working values amplitude_n * e(phase_shift_n)."""
-        if self.phase_shift is None:
-            return self.amplitude.copy()
-        factors = np.array(
-            [unit_root(s) if isinstance(s, Fraction) else unit_root(float(s) % 1.0)
-             for s in self.phase_shift],
-            dtype=np.complex128,
-        )
-        return self.amplitude * factors
+        """A copy of the working values a_n."""
+        return self.amplitude.copy()
 
     def ell_r(self, r: float) -> float:
-        """sum_n |a_n|^r, computed from the amplitudes alone."""
+        """sum_n |a_n|^r."""
         a2 = self.amplitude.real**2 + self.amplitude.imag**2
         return float(tree_sum(modulus_power(a2, r)))
-
-    def scaled(self, c: complex) -> "CoefficientVector":
-        return CoefficientVector(self.domain, self.amplitude * c, self.phase_shift)
 
 
 @dataclass(frozen=True)
@@ -243,33 +219,6 @@ def _phase_values(system: PhaseSystem, domain: IndexDomain) -> list[list[int]]:
             f"domain dimension {domain.dimension} != system dimension {system.dimension}"
         )
     return [[comp.evaluate(pt) for pt in domain.points] for comp in system.components]
-
-
-def modulate_coefficients(
-    coeffs: CoefficientVector,
-    v: Sequence[Fraction | float],
-    system: PhaseSystem,
-) -> CoefficientVector:
-    """a_n -> a_n e(sum_j v_j P_j(n)); rational v keeps the phases exact."""
-    if len(v) != len(system.components):
-        raise InvalidInputError("modulation vector length does not match system")
-    rational = all(isinstance(x, (int, Fraction)) for x in v)
-    phase_vals = _phase_values(system, coeffs.domain)
-    shifts: list[Fraction | float] = []
-    for idx in range(len(coeffs.domain)):
-        if rational:
-            theta = sum(Fraction(x) * phase_vals[j][idx] for j, x in enumerate(v))
-            theta = theta % 1
-        else:
-            theta = math.fsum(float(x) * phase_vals[j][idx] for j, x in enumerate(v)) % 1.0
-        if coeffs.phase_shift is not None:
-            prev = coeffs.phase_shift[idx]
-            if isinstance(prev, Fraction) and isinstance(theta, Fraction):
-                theta = (prev + theta) % 1
-            else:
-                theta = (float(prev) + float(theta)) % 1.0
-        shifts.append(theta)
-    return CoefficientVector(coeffs.domain, coeffs.amplitude, tuple(shifts))
 
 
 def _transform_power_sum(
@@ -419,10 +368,7 @@ class _GridSum:
                         return self.total * _column_sums(parts[:, 0::2] + parts[:, 1::2])
 
                 blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
-                if self.threads == 1 or len(blocks) == 1:
-                    return np.concatenate(list(map(convolved, blocks)))
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    return np.concatenate(list(pool.map(convolved, blocks)))
+                return np.concatenate(self._map_blocks(convolved, blocks, list))
         rows = max(1, exact._BLOCK_BYTES // (16 * offsets))
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
 
@@ -439,10 +385,7 @@ class _GridSum:
                         np.maximum(acc[1], block[1]))
 
             try:
-                if self.threads == 1 or len(bounds) == 1:
-                    return reduce(fold, map(run, bounds))
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    return reduce(fold, pool.map(run, bounds))
+                return self._map_blocks(run, bounds, partial(reduce, fold))
             except MemoryError:
                 # a block's complex samples, its |S|^r and its point rows
                 needed = rows * (24 * offsets + 16 * len(self.base))
@@ -457,6 +400,13 @@ class _GridSum:
         if not ok.all():
             sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
         return sums
+
+    def _map_blocks(self, fn, blocks: list, combine):
+        """combine(map(fn, blocks)), on the grid's threads for several blocks."""
+        if self.threads == 1 or len(blocks) == 1:
+            return combine(map(fn, blocks))
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            return combine(pool.map(fn, blocks))
 
     def weighted_power_sum(self, r: float) -> float:
         """sum over iota of |S(iota)|^r, by the transform."""
@@ -496,7 +446,7 @@ def _even_count(coeffs: CoefficientVector, grid: _GridSum, s: int | None) -> int
 
     By Parseval, sum_iota |S(iota)|^r = T sum_h |G(h)|^2 for r = 2s, so the
     exact count replaces the transform when r is an even integer (s is not
-    None), every amplitude is a Gaussian integer and no phase shift is set.
+    None) and every amplitude is a Gaussian integer.
     It runs only when its work bound W = sum_{t=1}^{s-1} min(|H|^t, T) |H|
     is at most the T = prod M_j cells the transform would touch, |H| the
     support of the residue histogram.  Timed against the transform on 562
@@ -506,7 +456,7 @@ def _even_count(coeffs: CoefficientVector, grid: _GridSum, s: int | None) -> int
     3 T, and 2 to 35 times as much beyond: W <= T takes the exact value
     wherever it costs no more than that break-even band.
     """
-    if s is None or coeffs.phase_shift is not None:
+    if s is None:
         return None
     return convolution_counts(grid._residues, coeffs.amplitude, s,
                               grid.moduli, max_work=grid.total)

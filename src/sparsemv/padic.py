@@ -1,13 +1,10 @@
-"""p-adic scales, the standard additive character, valuations, Hensel lifting."""
+"""p-adic scales N = p**K, primality, Hensel lifting of sqrt(-1)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InvalidInputError, UnsupportedPrimeError
-from .exact import PhaseFraction
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -53,44 +50,6 @@ class ScaleSpec:
     @property
     def N(self) -> int:
         return self.p**self.K
-
-
-def valuation(q: Fraction | int, p: int) -> int | float:
-    """The p-adic valuation of q; math.inf for q = 0."""
-    if not is_prime(p):
-        raise InvalidInputError(f"p={p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        return math.inf
-    v = 0
-    num = q.numerator
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def chi_p(q: Fraction | int, p: int) -> PhaseFraction:
-    """The standard p-adic additive character on p-power-denominator rationals.
-
-    On such rationals the character agrees with e(q), so the value is just
-    the exact fractional part of q.
-    """
-    if not is_prime(p):
-        raise InvalidInputError(f"p={p} is not prime")
-    q = Fraction(q)
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-    if den != 1:
-        raise InvalidInputError(
-            f"denominator {q.denominator} is not a power of p={p}"
-        )
-    return PhaseFraction(q)
 
 
 @dataclass(frozen=True)

@@ -81,16 +81,10 @@ def tensor_offsets(
     axis_weights = []
     for h, s in zip(halfwidths, depths):
         h = float(h)
-        pieces = 2**s
-        half = h / pieces
-        nodes = []
-        weights = []
-        for piece in range(pieces):
-            center = -h + (2 * piece + 1) * half
-            nodes.extend(center + half * xi)
-            weights.extend(half * w)
-        axis_nodes.append(np.asarray(nodes))
-        axis_weights.append(np.asarray(weights))
+        half = h / 2**s
+        centers = -h + (2 * np.arange(2**s) + 1) * half
+        axis_nodes.append((centers[:, None] + half * xi).ravel())
+        axis_weights.append(np.tile(half * w, 2**s))
     grids = np.meshgrid(*axis_nodes, indexing="ij")
     offsets = np.stack([g.ravel(order="C") for g in grids], axis=1)
     wgrids = np.meshgrid(*axis_weights, indexing="ij")

@@ -34,6 +34,11 @@ from .numberfield import MinimalPolynomial, field_multiply
 DEFAULT_KEY_BUDGET = 10**8
 DEFAULT_PAIR_BUDGET = 10**8
 
+#: What one convolution pass costs beyond its pairs, in pair terms: on one
+#: core of a 2-core x86_64 machine (numpy 2.4) a pass over a one-key
+#: histogram takes about 22 us and a pair term 60-100 ns.
+_PASS_PAIRS = 256
+
 
 @dataclass(frozen=True)
 class SolutionCountRecord:
@@ -48,6 +53,13 @@ class SolutionCountRecord:
     def __post_init__(self):
         if self.J < self.N ** (self.d * self.s):
             raise InvalidInputError("J below the diagonal count; counting bug")
+
+
+def _power_exceeds(base: int, exponent: int, budget: int) -> bool:
+    """base**exponent > budget, without forming a power far past the budget."""
+    if base > 1 and exponent * (base.bit_length() - 1) > budget.bit_length():
+        return True  # base**exponent >= 2^(exponent (bitlen - 1)) > budget
+    return base**exponent > budget
 
 
 def _single_keys(
@@ -148,21 +160,31 @@ def count_solutions(
 ) -> SolutionCountRecord:
     """J = sum over keys h of H^{*s}(h)^2, H the single-element key histogram.
 
-    The budget bounds N^(ds), the number of s-tuples, which is an upper
-    bound on the work sum_t |H^{*t}| |H| of the s - 1 convolution passes.
+    The budget bounds the N^d single-element keys, and the work bound
+    W = sum_{t=1}^{s-1} min(|H|^t, C) |H| of the s - 1 convolution passes,
+    C the size of the packed key space (:func:`exact.convolution_power`),
+    plus _PASS_PAIRS per pass; W is read from the histogram before any pass
+    runs.
     """
     if s < 1 or k < 1 or N < 1:
         raise InvalidInputError("s, k, N must be positive")
     d = minpoly.degree
-    n_keys = N ** (d * s)
-    if n_keys > budget:
+    if N**d > budget:
         raise BudgetExceededError(
-            f"{n_keys} moment keys exceed budget {budget}",
-            requested=n_keys,
+            f"{N}^{d} single-element keys exceed budget {budget}",
+            requested=N**d,
             budget=budget,
         )
     J = convolution_counts(_key_columns(minpoly, k, N, transcendental),
-                           np.ones(N**d, dtype=np.int64), s)
+                           np.ones(N**d, dtype=np.int64), s,
+                           max_work=budget - (s - 1) * _PASS_PAIRS)
+    if J is None:
+        raise BudgetExceededError(
+            f"{s - 1} convolution passes over {N}^{d} keys exceed work "
+            f"budget {budget}",
+            requested=budget + 1,  # W plus the pass costs is at least this
+            budget=budget,
+        )
     return SolutionCountRecord(s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="hash")
 
 
@@ -175,15 +197,24 @@ def count_solutions_brute(
     transcendental: bool = False,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> SolutionCountRecord:
-    """Oracle: enumerate all pairs of s-tuples and compare their power sums."""
+    """Oracle: enumerate all pairs of s-tuples and compare their power sums.
+
+    The budget bounds the N^(2ds) pairs and the s N^(ds) single keys summed
+    into the keys of the s-tuples.
+    """
     if s < 1 or k < 1 or N < 1:
         raise InvalidInputError("s, k, N must be positive")
     d = minpoly.degree
-    n_tuples = N ** (d * s)
-    if n_tuples * n_tuples > budget:
+    if _power_exceeds(N, 2 * d * s, budget):
         raise BudgetExceededError(
-            f"{n_tuples * n_tuples} pairs exceed budget {budget}",
-            requested=n_tuples * n_tuples,
+            f"{N}^{2 * d * s} pairs exceed budget {budget}",
+            requested=budget + 1,  # the pair count is at least this
+            budget=budget,
+        )
+    if s * N ** (d * s) > budget:  # N^(ds) is at most the square root of budget
+        raise BudgetExceededError(
+            f"{s} x {N}^{d * s} tuple terms exceed budget {budget}",
+            requested=s * N ** (d * s),
             budget=budget,
         )
     single = _single_keys(minpoly, k, N, transcendental)

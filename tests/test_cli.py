@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from fractions import Fraction
@@ -257,6 +258,25 @@ def test_vinogradov_d_mismatch_exit_1(capsys):
         capsys,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("method", ["hash", "brute"])
+@pytest.mark.parametrize("s, N", [(10**9, 1), (10000, 3)])
+def test_vinogradov_huge_s_exits_3_at_once_in_one_line(tmp_path, capsys, method, s, N):
+    # the budget is checked before any convolution pass or tuple is formed,
+    # and its message names no power with thousands of digits
+    start = time.perf_counter()
+    code, out, err = run(
+        ["vinogradov", "--minpoly", "0", "--s", str(s), "--k", "1", "--N", str(N),
+         "--method", method, "--out", str(tmp_path / "vin.csv")],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("budget exceeded: ")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert not (tmp_path / "vin.csv").exists()
 
 
 def test_vinogradov_fit(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from sparsemv.counterexample import (
     CounterexampleFamily,
-    decoupling_ratio,
     growth_table,
     log_slope,
     single_norm,
@@ -88,7 +87,8 @@ def test_sum_norm_transform_matches_residue_loop(p, k, r):
     fam = _family(p, k, r)
     assert sum_norm(fam) == pytest.approx(_sum_norm_by_loop(fam), rel=1e-12)
     if r == 2.0:
-        assert decoupling_ratio(fam) == pytest.approx(1.0, rel=1e-12)
+        [row] = growth_table(p, [k], r)
+        assert row["ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sum_norm_budget_counts_transform_length():
@@ -125,15 +125,16 @@ def test_normalized_average_monotone_in_r():
 
 
 def test_decoupling_ratio_r2_is_one():
-    for p, k in ((5, 1), (5, 2), (13, 1)):
-        assert decoupling_ratio(_family(p, k, 2.0)) == pytest.approx(1.0, rel=1e-9)
+    # the ratio column of the counterexample command's rows
+    for p, ks in ((5, (1, 2)), (13, (1,))):
+        for row in growth_table(p, ks, 2.0):
+            assert row["ratio"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_decoupling_ratio_lower_bound():
     for r in (4.0, 6.0):
-        for k in (1, 2):
-            fam = _family(5, k, r)
-            assert decoupling_ratio(fam) >= fam.N ** (0.5 - 2.0 / r) * (1 - 1e-12)
+        for row in growth_table(5, (1, 2), r):
+            assert row["ratio"] >= row["N"] ** (0.5 - 2.0 / r) * (1 - 1e-12)
 
 
 def test_paraboloid_membership():

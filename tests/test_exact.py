@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 import sparsemv.exact as exact
 from sparsemv.exact import (
-    PhaseFraction,
     certified,
     convolution_counts,
     extract_once,
@@ -21,56 +21,15 @@ from sparsemv.exact import (
     modulus_power,
     root_table,
     tree_sum,
-    unit_root,
 )
 
 ULP = 2.0**-52
 
 
-def test_unit_root_identity_cases():
-    assert unit_root(Fraction(0)) == 1 + 0j
-    assert unit_root(Fraction(1, 2)) == -1 + 0j
-    assert unit_root(Fraction(1, 4)) == 1j
-    assert unit_root(Fraction(3, 4)) == -1j
-
-
-def test_unit_root_modulus_one():
-    for num in range(97):
-        z = unit_root(Fraction(num, 97))
-        assert abs(abs(z) - 1.0) <= 4 * ULP
-
-
-rationals = st.fractions(
-    min_value=0, max_value=1, max_denominator=10**6
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(rationals, rationals)
-def test_unit_root_homomorphism(q1, q2):
-    lhs = unit_root(q1) * unit_root(q2)
-    rhs = unit_root((q1 + q2) % 1)
-    assert abs(lhs - rhs) <= 4 * ULP
-
-
-@settings(max_examples=200, deadline=None)
-@given(rationals, rationals, st.integers(min_value=-50, max_value=50))
-def test_phase_fraction_arithmetic_exact(q1, q2, m):
-    # oracle: integer arithmetic on numerators over the common denominator
-    a = PhaseFraction(q1)
-    b = PhaseFraction(q2)
-    total = a + b
-    den = q1.denominator * q2.denominator
-    num = (q1.numerator * q2.denominator + q2.numerator * q1.denominator) % den
-    assert total.value == Fraction(num, den)
-    scaled = a * m
-    assert scaled.value == Fraction((q1.numerator * m) % q1.denominator, q1.denominator)
-
-
-def test_phase_fraction_range():
-    assert PhaseFraction(Fraction(7, 4)).value == Fraction(3, 4)
-    assert PhaseFraction(Fraction(-1, 4)).value == Fraction(3, 4)
-    assert PhaseFraction(3).value == 0
+def _expj(q: Fraction) -> complex:
+    """e(q) = exp(2 pi i q) by mpmath at 100 bits, rounded to a complex."""
+    with mpmath.workprec(100):
+        return complex(mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator))
 
 
 def test_compensated_sum_trivial_cases():
@@ -80,7 +39,7 @@ def test_compensated_sum_trivial_cases():
 
 def test_compensated_sum_roots_of_unity_cancel():
     # oracle: the full set of 8th roots of unity cancels symbolically
-    values = [unit_root(Fraction(k, 8)) for k in range(8)]
+    values = [_expj(Fraction(k, 8)) for k in range(8)]
     assert abs(tree_sum(values)) <= 1e-12
 
 
@@ -111,7 +70,7 @@ def test_tree_sum_chunk_boundaries():
 def test_root_table_agrees_with_unit_root():
     table = root_table(360)
     for t in range(0, 360, 7):
-        assert table[t] == pytest.approx(unit_root(Fraction(t, 360)), abs=1e-14)
+        assert table[t] == pytest.approx(_expj(Fraction(t, 360)), abs=1e-14)
 
 
 def test_modulus_power_even_and_general():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -15,14 +16,13 @@ from hypothesis import strategies as st
 from sparsemv.domains import LocalizationVector
 from sparsemv.errors import BudgetExceededError, InvalidInputError
 from sparsemv import exact
-from sparsemv.exact import convolution_counts, fsum_rows, unit_root
+from sparsemv.exact import convolution_counts, fsum_rows
 from sparsemv.meanvalue import (
     CoefficientVector,
     IndexDomain,
     corollary_ratio_experiment,
     epsilon_factors,
     estimate_restriction_constant,
-    modulate_coefficients,
     padic_short_mv,
     real_sparse_mv,
     sample_coefficients,
@@ -189,7 +189,8 @@ def test_padic_scaling_covariance():
     coeffs = sample_coefficients("random-phase", domain, seed=8)
     base = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
     scaled = padic_short_mv(
-        PARABOLA, coeffs.scaled(0.5 - 1.25j), 4.0, scale, _sigma(0, 1)
+        PARABOLA, CoefficientVector(domain, (0.5 - 1.25j) * coeffs.amplitude), 4.0,
+        scale, _sigma(0, 1)
     ).value
     assert scaled == pytest.approx(abs(0.5 - 1.25j) ** 4 * base, rel=1e-9)
 
@@ -214,8 +215,6 @@ def _mpmath_padic_mv(system, coeffs, r, scale, sigma, prec=100):
             return roots[q]
 
         base = [mpmath.mpc(a.real, a.imag) for a in coeffs.amplitude]
-        if coeffs.phase_shift is not None:
-            base = [b * e(Fraction(t) % 1) for b, t in zip(base, coeffs.phase_shift)]
         total = mpmath.mpf(0)
         for iota in product(*(range(m) for m in moduli)):
             inner = mpmath.mpc(0)
@@ -458,11 +457,7 @@ def test_count_needs_gaussian_integers_without_phase_shift():
     sig = _sigma(0, 0)
     halves = CoefficientVector(domain, [0.5, 1.0, 1j])
     assert padic_short_mv(PARABOLA, halves, 4.0, scale, sig).method == "padic-exact"
-    shifted = modulate_coefficients(CoefficientVector.ones(domain),
-                                    (Fraction(0), Fraction(0)), PARABOLA)
-    assert shifted.phase_shift is not None
-    assert padic_short_mv(PARABOLA, shifted, 4.0, scale, sig).method == "padic-exact"
-    assert real_sparse_mv(PARABOLA, shifted, 4.0, scale, sig).method == "real-exact"
+    assert real_sparse_mv(PARABOLA, halves, 4.0, scale, sig).method == "real-exact"
     units = CoefficientVector(domain, [1.0, -1j, 0.0])
     assert padic_short_mv(PARABOLA, units, 4.0, scale, sig).method == "padic-count"
 
@@ -488,39 +483,6 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch):
     for block in (1, 200, 2000):  # one row of pairs per chunk, then a few
         monkeypatch.setattr(exact, "_BLOCK_BYTES", block)
         assert values() == default
-
-
-# --- modulation ---------------------------------------------------------------
-
-def test_modulate_zero_is_identity():
-    domain = IndexDomain.box(4, 1)
-    coeffs = sample_coefficients("random-phase", domain, seed=5)
-    out = modulate_coefficients(coeffs, (Fraction(0), Fraction(0)), PARABOLA)
-    assert np.allclose(out.values(), coeffs.values())
-
-
-def test_modulate_preserves_moduli_exactly():
-    domain = IndexDomain.box(5, 1)
-    coeffs = sample_coefficients("random-sparse", domain, seed=6)
-    out = modulate_coefficients(coeffs, (Fraction(1, 3), Fraction(2, 7)), PARABOLA)
-    assert np.array_equal(np.abs(out.amplitude), np.abs(coeffs.amplitude))
-    assert out.ell_r(4.0) == coeffs.ell_r(4.0)  # exact, not approximate
-
-
-def test_modulate_direct_value():
-    domain = IndexDomain.box(2, 1)
-    coeffs = CoefficientVector.ones(domain)
-    out = modulate_coefficients(coeffs, (Fraction(1, 2), Fraction(0)), PARABOLA)
-    values = out.values()
-    assert values[0] == pytest.approx(1.0)   # n = 0
-    assert values[1] == pytest.approx(-1.0)  # n = 1: e(1/2)
-
-
-def test_modulate_float_vector():
-    domain = IndexDomain.box(3, 1)
-    coeffs = CoefficientVector.ones(domain)
-    out = modulate_coefficients(coeffs, (0.125, 0.0), PARABOLA)
-    assert out.values()[1] == pytest.approx(np.exp(2j * np.pi * 0.125))
 
 
 # --- real sparse mean values ---------------------------------------------------
@@ -635,9 +597,11 @@ def test_real_localized_equals_weighted_padic_average():
         _GridSum(PARABOLA, coeffs, sparse.cell_counts), 4.0, scale, sig, sparse,
         QuadratureConfig(),
     )
+    P = np.array([[c.evaluate(pt) for pt in domain.points] for c in PARABOLA.components])
     recomputed = 0.0
     for v, w in zip(offsets, weights):
-        mod = modulate_coefficients(coeffs, tuple(float(x) for x in v), PARABOLA)
+        # the modulated coefficients a_n e(v . P(n))
+        mod = CoefficientVector(domain, coeffs.amplitude * np.exp(2j * np.pi * (v @ P)))
         padic = padic_short_mv(PARABOLA, mod, 4.0, scale, sig).value
         recomputed += w * padic
     cell_volume = math.prod(float(2 * h) for h in sparse.cell_halfwidths)
@@ -924,22 +888,29 @@ def test_offset_sums_near_and_past_the_float_range(monkeypatch, r, rows):
 
 # --- the offset engine against a direct, exact-phase oracle --------------------
 
+@functools.lru_cache(maxsize=1 << 16)
+def _expj(q: Fraction) -> complex:
+    """e(q) = exp(2 pi i q) by mpmath at 100 bits, rounded to a complex."""
+    with mpmath.workprec(100):
+        return complex(mpmath.expjpi(2 * mpmath.mpf(q.numerator) / q.denominator))
+
+
 def _direct_abs_squared(system, coeffs, cells, offsets):
     """|S(iota, v)|^2 for every cell iota (rows) and offset v (columns), by a
-    Python loop over points: exact rational phases, unit_root and math.fsum;
-    no root table, no common modulus and no BLAS."""
+    Python loop over points: exact rational phases, mpmath unit roots and
+    math.fsum; no root table, no common modulus and no BLAS."""
     points = coeffs.domain.points
     values = [complex(a) for a in coeffs.values()]
     P = [[c.evaluate(pt) for pt in points] for c in system.components]
     shifts = [
-        [unit_root(sum(Fraction(float(x)) * P[j][n] for j, x in enumerate(v)))
+        [_expj(sum(Fraction(float(x)) * P[j][n] for j, x in enumerate(v)))
          for n in range(len(points))]
         for v in offsets
     ]
     rows = []
     for iota in product(*(range(m) for m in cells)):
         cell = [
-            unit_root(sum(Fraction(i * P[j][n], m)
+            _expj(sum(Fraction(i * P[j][n], m)
                           for j, (i, m) in enumerate(zip(iota, cells))))
             for n in range(len(points))
         ]

@@ -1,21 +1,15 @@
 from __future__ import annotations
 
-import math
 import time
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sparsemv.errors import InvalidInputError, UnsupportedPrimeError
 from sparsemv.padic import (
     HenselRoot,
     ScaleSpec,
-    chi_p,
     hensel_sqrt_minus_one,
     is_prime,
-    valuation,
 )
 
 
@@ -33,38 +27,6 @@ def test_scale_spec():
         ScaleSpec(p=6, K=1)
     with pytest.raises(InvalidInputError):
         ScaleSpec(p=5, K=0)
-
-
-def test_chi_p_examples():
-    assert chi_p(Fraction(7, 25), 5).value == Fraction(7, 25)
-    assert chi_p(Fraction(26, 25), 5).value == Fraction(1, 25)
-    assert chi_p(3, 5).value == 0
-
-
-def test_chi_p_rejects_other_denominators():
-    with pytest.raises(InvalidInputError):
-        chi_p(Fraction(1, 6), 5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=-(10**6), max_value=10**6),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=-(10**6), max_value=10**6),
-    st.integers(min_value=0, max_value=6),
-)
-def test_chi_p_additivity(n1, e1, n2, e2):
-    p = 5
-    q1 = Fraction(n1, p**e1)
-    q2 = Fraction(n2, p**e2)
-    assert chi_p(q1 + q2, p).value == (chi_p(q1, p).value + chi_p(q2, p).value) % 1
-
-
-def test_valuation_examples():
-    assert valuation(50, 5) == 2
-    assert valuation(Fraction(7, 25), 5) == -2
-    assert valuation(0, 5) == math.inf
-    assert valuation(Fraction(18, 5), 3) == 2
 
 
 def test_hensel_examples():

@@ -165,6 +165,24 @@ def test_budgets():
         count_solutions_brute(X2P1, 2, 2, 10, budget=10**4)
 
 
+def test_budgets_bound_the_work_of_a_huge_s():
+    # the hash count's budget covers its s - 1 passes, read before any runs
+    with pytest.raises(BudgetExceededError):
+        count_solutions(LINE, 10**9, 1, 1)
+    assert count_solutions(LINE, 1000, 1, 1).J == 1
+    # each pass costs _PASS_PAIRS pair terms, however small the histogram
+    with pytest.raises(BudgetExceededError):
+        count_solutions(LINE, 10**6, 1, 1)
+    with pytest.raises(BudgetExceededError):
+        count_solutions(LINE, 10**4, 1, 3)
+    # the oracle's budget covers its pairs and its s-term tuple keys
+    with pytest.raises(BudgetExceededError):
+        count_solutions_brute(LINE, 10**9, 1, 1)
+    with pytest.raises(BudgetExceededError):
+        count_solutions_brute(LINE, 10**4, 1, 3)
+    assert count_solutions_brute(LINE, 1000, 1, 1).J == 1
+
+
 def test_fit_growth_s1_slope_is_d():
     fit = fit_growth(LINE, 1, 2, (4, 8, 16, 32))
     assert fit.slope == pytest.approx(1.0, abs=1e-9)
