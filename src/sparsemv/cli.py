@@ -327,8 +327,8 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
     coefficients, else the exact cell-grid sum by transform."""
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
-    report = padic_short_mv(system, coeffs, r, scale, sig,
-                            budget=budget, threads=threads)
+    report, = padic_short_mv(system, [coeffs], r, scale, sig,
+                             budget=budget, threads=threads)
     path = _out_path(out, "mv-padic")
     denom, ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
                                 coeffs_file, report, coeffs)
@@ -351,8 +351,8 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
     coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
     quad = QuadratureConfig(order=quad_order, depth=quad_depth)
-    report = real_sparse_mv(system, coeffs, r, scale, sig, quad,
-                            budget=budget, threads=threads)
+    report, = real_sparse_mv(system, [coeffs], r, scale, sig, quad,
+                             budget=budget, threads=threads)
     path = _out_path(out, "mv-real")
     extra = {"quad_order": quad_order, "quad_depth": quad_depth}
     denom, ratio = _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed,
@@ -386,10 +386,11 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
     failures = 0
     sigma_text = ",".join(str(s) for s in sig.sigma)
     n_vectors = 1 if coeffs_file is not None else vectors
-    for draw in range(n_vectors):
-        coeffs = _load_coeffs(sampler, seed, draw, coeffs_file, domain)
-        rep = transfer_check(system, coeffs, r, scale, sig, quad=quad, tol=tol,
+    coeff_list = [_load_coeffs(sampler, seed, draw, coeffs_file, domain)
+                  for draw in range(n_vectors)]
+    reports = transfer_check(system, coeff_list, r, scale, sig, quad=quad, tol=tol,
                              budget=budget, threads=threads)
+    for draw, (coeffs, rep) in enumerate(zip(coeff_list, reports)):
         denom = coeffs.ell_r(r)
         rows.append([
             "transfer-check", scale.p, scale.K, sigma_text, r, row_sampler, row_seed,

@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError
 
 #: Byte target of one block of intermediate terms: the cells x offsets
 #: samples of a grid-sum block, or the pair terms of one convolution chunk,
@@ -231,9 +231,10 @@ def _total(values: np.ndarray) -> float:
 def _column_sums(x: np.ndarray) -> np.ndarray:
     """math.fsum down each column of a 2-d float64 x, bit for bit: one
     extraction round and its certificate, full extraction for the columns it
-    leaves open.  x is only read."""
-    if not len(x):
-        return np.zeros(x.shape[1])
+    leaves open, or below 6 rows fsum_rows alone (at 8192 columns 0.66
+    against 0.76 ms at 5 rows, 1.31 against 0.79 at 8).  x is only read."""
+    if len(x) < 6:
+        return fsum_rows(x)
     rows, bound, _ = extract_once(x)
     sums, ok = certified(rows, bound)
     if not ok.all():
@@ -421,7 +422,8 @@ def convolution_counts(
     ``weights`` holds n numbers, the other arguments are those of
     :func:`convolution_power`, which convolves their real and imaginary
     parts as integers.  The result is an exact Python int, or None when some
-    weight is not a Gaussian integer or the work exceeds ``max_work``.
+    weight is not a Gaussian integer; work over ``max_work`` raises as in
+    :func:`convolution_power`.
     """
     if s < 1:
         raise InvalidInputError(f"convolution power must be >= 1, got {s}")
@@ -430,8 +432,6 @@ def convolution_counts(
         return None
     parts, wide_squares = integer_parts
     G = convolution_power(keys, parts, s, moduli, max_work)
-    if G is None:
-        return None
     total = 0
     for part in G:
         if wide_squares:
@@ -450,10 +450,11 @@ def convolution_power(keys, parts, s: int, moduli=None, max_work=None):
     integer weights, say, or one complex array whose trailing axes carry a
     column per quadrature offset.  Parts are added and multiplied in their
     own dtype, column by column.  Without moduli the convolution is acyclic
-    on Z^k; with moduli M_j it is cyclic on prod Z/M_j.  With ``max_work``
-    the result is None, and no pair is formed, when the work bound
+    on Z^k; with moduli M_j it is cyclic on prod Z/M_j.  When the work bound
     W = sum_{t=1}^{s-1} min(|H|^t, prod M_j) |H| read from the histogram
-    exceeds it.  Keys whose parts cancel to 0 in every column are not in H.
+    exceeds ``max_work``, BudgetExceededError(requested=W, budget=max_work)
+    is raised before any pair is formed.  Keys whose parts cancel to 0 in
+    every column are not in H.
 
     Each key is shifted by its axis minimum and packed by mixed radix, axis
     j with radix s * span_j + 1 (acyclic), so a sum of at most s packed keys
@@ -491,8 +492,9 @@ def convolution_power(keys, parts, s: int, moduli=None, max_work=None):
     support = len(hist[1][0])
     # the radices bound the support of every power, cyclic or acyclic
     cap = math.prod(radices)
-    if max_work is not None and _convolution_work(support, s, cap) > max_work:
-        return None
+    if max_work is not None and (work := _convolution_work(support, s, cap)) > max_work:
+        raise BudgetExceededError(f"convolution work {work} exceeds budget {max_work}",
+                                  requested=work, budget=max_work)
     if not support:
         return hist[1]
     # cyclic passes add digits and fold them; acyclic passes add codes

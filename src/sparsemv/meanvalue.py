@@ -53,11 +53,12 @@ vector, reading both sides from one fine-level pass of per-offset sums.
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ from .domains import (
     DEFAULT_CELL_BUDGET,
     LocalizationVector,
     SparseDomain,
+    _check_budget,
     _scale_power,
     build_domain,
 )
@@ -164,7 +166,6 @@ class MeanValueReport:
     """
 
     value: float
-    r: float
     method: str
     quadrature_error_bound: float
 
@@ -177,7 +178,6 @@ class TransferReport:
     real_value: float
     padic_sup_over_grid: float
     passed: bool
-    tolerance: float
     quadrature_error_bound: float
     grid_size: int
 
@@ -263,44 +263,46 @@ class _GridSum:
     modulated histogram when that is cheap, else by S(iota, v) =
     sum_n E[iota, n] e(v . P(n)), one GEMM per block of cells; with a single
     zero offset that path is the reference the transform is tested against.
+
+    The grid holds what no coefficient changes: phases, residues and (once a
+    GEMM needs them) root tables.  Sums run on a :meth:`view`, which adds one
+    vector's coefficients as ``base`` and shares the rest.
     """
 
-    def __init__(
-        self,
-        system: PhaseSystem,
-        coeffs: CoefficientVector,
-        moduli: Sequence[int],
-        threads: int = 1,
-        phase_vals: list[list[int]] | None = None,
-    ):
+    def __init__(self, phase_vals: list[list[int]], moduli: Sequence[int],
+                 threads: int = 1):
         if threads < 1:
             raise InvalidInputError(f"threads must be >= 1, got {threads}")
         self.moduli = tuple(int(m) for m in moduli)
         self.total = math.prod(self.moduli)
         self.threads = threads
-        if phase_vals is None:
-            phase_vals = _phase_values(system, coeffs.domain)
         self.phase_vals = phase_vals
-        self.base = coeffs.values()
-
-    @cached_property
-    def _residues(self) -> tuple[np.ndarray, ...]:
-        """P_j(n) mod M_j for every axis j, reduced exactly with Python integers."""
-        return tuple(
+        # P_j(n) mod M_j for every axis j, reduced exactly with Python integers
+        self._residues = tuple(
             np.array([v % m for v in vals], dtype=np.intp)
-            for vals, m in zip(self.phase_vals, self.moduli)
+            for vals, m in zip(phase_vals, self.moduli)
         )
+        self._root_tables: list[np.ndarray] = []  # shared by every view
+        self.base = None
 
-    @cached_property
-    def _roots(self) -> tuple[np.ndarray, ...]:
-        """The M_j-th roots of unity for every axis j."""
-        return tuple(root_table(m) for m in self.moduli)
+    def view(self, coeffs: CoefficientVector) -> "_GridSum":
+        """This grid with the coefficients a_n of one vector as ``base``."""
+        view = copy.copy(self)
+        view.base = coeffs.values()
+        return view
+
+    def _roots(self) -> list[np.ndarray]:
+        """The M_j-th roots of unity per axis j, built on first use (a GEMM
+        pass takes them before it starts its threads)."""
+        if not self._root_tables:
+            self._root_tables.extend(root_table(m) for m in self.moduli)
+        return self._root_tables
 
     def _point_rows(self, lo: int, hi: int) -> np.ndarray:
         """E[iota, n] = a_n prod_j e(iota_j P_j(n) / M_j) for iota in [lo, hi)."""
         E = np.repeat(self.base[None, :], hi - lo, axis=0)
         cols = np.unravel_index(np.arange(lo, hi), self.moduli)
-        for col, res, roots in zip(cols, self._residues, self._roots):
+        for col, res, roots in zip(cols, self._residues, self._roots()):
             E *= roots[np.multiply.outer(col, res) % len(roots)]
         return E
 
@@ -370,6 +372,7 @@ class _GridSum:
                 blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
                 return np.concatenate(self._map_blocks(convolved, blocks, list))
         rows = max(1, exact._BLOCK_BYTES // (16 * offsets))
+        self._roots()  # built here, before any thread reads them
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
 
         def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -422,27 +425,13 @@ def _offset_factors(
     return np.exp(2j * np.pi * phases)
 
 
-def _check_exponent(r: float) -> None:
-    if not (math.isfinite(r) and r >= 2):
-        raise InvalidInputError(f"exponent r must be a finite number >= 2, got {r}")
-
-
-def _check_cell_budget(domain: SparseDomain, budget: int) -> None:
-    if domain.total_cells > budget:
-        raise BudgetExceededError(
-            f"{domain.total_cells} cells exceed budget {budget}",
-            requested=domain.total_cells,
-            budget=budget,
-        )
-
-
 def _half_even(r: float) -> int | None:
     """r / 2 when r is an even integer, else None."""
     return int(r) // 2 if float(r).is_integer() and int(r) % 2 == 0 else None
 
 
-def _even_count(coeffs: CoefficientVector, grid: _GridSum, s: int | None) -> int | None:
-    """sum_h |G(h)|^2, G = H^{*s} cyclic on the grid's prod Z/M_j, or None.
+def _even_count(grid: _GridSum, s: int | None) -> int | None:
+    """sum_h |G(h)|^2, G = H^{*s} cyclic on prod Z/M_j, for a grid view, or None.
 
     By Parseval, sum_iota |S(iota)|^r = T sum_h |G(h)|^2 for r = 2s, so the
     exact count replaces the transform when r is an even integer (s is not
@@ -458,14 +447,11 @@ def _even_count(coeffs: CoefficientVector, grid: _GridSum, s: int | None) -> int
     """
     if s is None:
         return None
-    return convolution_counts(grid._residues, coeffs.amplitude, s,
-                              grid.moduli, max_work=grid.total)
-
-
-def _rounding_bound(value: float, grid: _GridSum) -> float:
-    """Error estimate of a transform value: the transform leaves O(log T)
-    ulps per sample of the grid's T samples."""
-    return value * 4e-15 * math.log2(grid.total + 2)
+    try:
+        return convolution_counts(grid._residues, grid.base, s, grid.moduli,
+                                  max_work=grid.total)
+    except BudgetExceededError:
+        return None
 
 
 def _count_value(count: int) -> float:
@@ -477,47 +463,72 @@ def _count_value(count: int) -> float:
         return math.inf
 
 
+def _prepare(system: PhaseSystem, vectors, r: float, scale: ScaleSpec,
+             sigma: LocalizationVector, budget: int):
+    """The checks and the set-up that every vector of one call shares: the
+    vectors as a list, the sparse domain, and P_j(n) on the one index domain
+    the vectors must share."""
+    if not (math.isfinite(r) and r >= 2):
+        raise InvalidInputError(f"exponent r must be a finite number >= 2, got {r}")
+    vectors = list(vectors)
+    if not vectors:
+        raise InvalidInputError("no coefficient vector given")
+    index = vectors[0].domain
+    if any(coeffs.domain != index for coeffs in vectors[1:]):
+        raise InvalidInputError("coefficient vectors must share one index domain")
+    domain = build_domain(scale, sigma, system.degrees)
+    _check_budget(domain, budget)
+    return vectors, domain, _phase_values(system, index)
+
+
+def _offset_free_reports(grid: _GridSum, vectors, r: float, s: int | None,
+                         kind: str, normalise) -> list[MeanValueReport]:
+    """One report per vector on a grid without offsets: the exact count
+    ("<kind>-count", error bound 0) where :func:`_even_count` applies, else
+    normalise(sum of |S|^r) by the transform ("<kind>-exact"), whose error
+    bound estimates its rounding: O(log T) ulps per sample of T samples."""
+    reports = []
+    for coeffs in vectors:
+        view = grid.view(coeffs)
+        count = _even_count(view, s)
+        if count is not None:
+            value, err, method = _count_value(count), 0.0, f"{kind}-count"
+        else:
+            value = normalise(view.weighted_power_sum(r))
+            err, method = value * 4e-15 * math.log2(grid.total + 2), f"{kind}-exact"
+        reports.append(MeanValueReport(value, method, err))
+    return reports
+
+
 def padic_short_mv(
     system: PhaseSystem,
-    coeffs: CoefficientVector,
+    vectors: Sequence[CoefficientVector],
     r: float,
     scale: ScaleSpec,
     sigma: LocalizationVector,
     *,
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
-) -> MeanValueReport:
-    """The p-adic short mean value as an exact finite sum (see module docs).
+) -> list[MeanValueReport]:
+    """The p-adic short mean value of each vector as an exact finite sum
+    (see module docs): one report per vector, in order.
 
-    "padic-count" counts it exactly in integers when :func:`_even_count`
+    The vectors share one index domain, so the grid is set up once.
+    "padic-count" counts a value exactly in integers when :func:`_even_count`
     applies (the prefactor N^(sum(sigma_j - deg_j)) = 1/T cancels Parseval's
-    T), with error bound 0; every other input runs the transform
-    ("padic-exact"), whose error bound is the rounding estimate of
-    :func:`_rounding_bound`.
+    T), with error bound 0; every other vector runs the transform
+    ("padic-exact").
     """
-    _check_exponent(r)
-    domain = build_domain(scale, sigma, system.degrees)
-    _check_cell_budget(domain, budget)
-    grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
-    count = _even_count(coeffs, grid, _half_even(r))
-    if count is not None:
-        value, err, method = _count_value(count), 0.0, "padic-count"
-    else:
-        exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
-        prefactor = _scale_power(scale, exponent)
-        value = float(prefactor) * grid.weighted_power_sum(r)
-        err, method = _rounding_bound(value, grid), "padic-exact"
-    return MeanValueReport(
-        value=value,
-        r=r,
-        method=method,
-        quadrature_error_bound=err,
-    )
+    vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)
+    grid = _GridSum(phase_vals, domain.cell_counts, threads)
+    prefactor = 1 / grid.total  # N^(sum(sigma_j - deg_j)), correctly rounded
+    return _offset_free_reports(grid, vectors, r, _half_even(r), "padic",
+                                lambda total: prefactor * total)
 
 
 def real_sparse_mv(
     system: PhaseSystem,
-    coeffs: CoefficientVector,
+    vectors: Sequence[CoefficientVector],
     r: float,
     scale: ScaleSpec,
     sigma: LocalizationVector,
@@ -525,8 +536,9 @@ def real_sparse_mv(
     *,
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
-) -> MeanValueReport:
-    """Real mean value over the sparse domain (see module docs for methods).
+) -> list[MeanValueReport]:
+    """Real mean value of each vector over the sparse domain (see module docs
+    for methods): one report per vector, in order.
 
     The exact grid runs at sigma = 0 with an even integer r when its
     prod_j L_j samples fit NODE_BUDGET: as an exact integer count
@@ -534,49 +546,38 @@ def real_sparse_mv(
     a transform ("real-exact").  Every other input runs Gauss cells
     ("real-gauss").
     """
-    _check_exponent(r)
     quad = quad or QuadratureConfig()
-    domain = build_domain(scale, sigma, system.degrees)
-    _check_cell_budget(domain, budget)
-    phase_vals = _phase_values(system, coeffs.domain)
+    vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)
     # for even r, |f|^r has axis-j frequencies up to (r/2)(max P_j - min P_j),
     # so the average over a grid one finer is the exact integral (module docs)
     half = _half_even(r) if all(s == 0 for s in sigma.sigma) else None
     moduli = [half * (max(vals) - min(vals)) + 1 for vals in phase_vals] if half else None
     if moduli and math.prod(moduli) <= NODE_BUDGET:
-        grid = _GridSum(system, coeffs, moduli, threads=threads, phase_vals=phase_vals)
+        grid = _GridSum(phase_vals, moduli, threads)
         # L_j exceeds the support of G per axis: the cyclic count is acyclic
-        count = _even_count(coeffs, grid, half)
-        if count is not None:
-            value, err, method = _count_value(count), 0.0, "real-count"
-        else:
-            value = grid.weighted_power_sum(r) / grid.total
-            err, method = _rounding_bound(value, grid), "real-exact"
-    else:
-        grid = _GridSum(system, coeffs, domain.cell_counts, threads=threads,
-                        phase_vals=phase_vals)
-        value, err, _, _, _ = _real_gauss(grid, r, scale, sigma, domain, quad)
-        method = "real-gauss"
-    return MeanValueReport(
-        value=value,
-        r=r,
-        method=method,
-        quadrature_error_bound=err,
-    )
+        return _offset_free_reports(grid, vectors, r, half, "real",
+                                    lambda total: total / grid.total)
+    grid = _GridSum(phase_vals, domain.cell_counts, threads)
+    levels, _ = _real_gauss(grid, vectors, r, scale, sigma, domain, quad)
+    return [MeanValueReport(value, "real-gauss", err) for value, err, _ in levels]
 
 
 def _real_gauss(
     grid: _GridSum,
+    vectors: list[CoefficientVector],
     r: float,
     scale: ScaleSpec,
     sigma: LocalizationVector,
     domain: SparseDomain,
     quad: QuadratureConfig,
-) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[float, float, float]], int]:
     """Two-level Gauss evaluation over the cell grid of ``domain``.
 
-    Each level is one per-offset pass; its value is fsum(w_v * sum_v).
-    Returns (value, error, fine offsets, fine weights, fine per-offset sums).
+    Each level's offsets, weights and offset factors are built once, and
+    every vector runs one per-offset pass on them; a level's value is
+    fsum(w_v * sum_v).  Only scalars are kept per vector, so memory does not
+    grow with the number of vectors.  Returns (value, error, max of the fine
+    per-offset sums) per vector, and the number of fine offsets.
     """
     max_abs = [max(abs(v) for v in vals) for vals in grid.phase_vals]
     widths = [2 * h for h in domain.cell_halfwidths]
@@ -590,19 +591,24 @@ def _real_gauss(
             requested=evaluations,
             budget=NODE_BUDGET,
         )
-    results = []
+    levels = []
     for level in (depths, fine_depths):
         offsets, weights = tensor_offsets(domain.cell_halfwidths, level, quad.order)
-        sums = grid.per_offset_power_sum(r, _offset_factors(grid.phase_vals, offsets))
-        results.append(fsum_rows(weights * sums))
+        factors = _offset_factors(grid.phase_vals, offsets)
+        values, tops = [], []
+        for coeffs in vectors:
+            sums = grid.view(coeffs).per_offset_power_sum(r, factors)
+            values.append(fsum_rows(weights * sums))
+            tops.append(sums.max())
+        levels.append(values)
     prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))
-    coarse, fine = (prefactor * v for v in results)
-    return fine, abs(fine - coarse), offsets, weights, sums
+    coarse, fine = ([prefactor * v for v in values] for values in levels)
+    return [(f, abs(f - c), top) for c, f, top in zip(coarse, fine, tops)], len(offsets)
 
 
 def transfer_check(
     system: PhaseSystem,
-    coeffs: CoefficientVector,
+    vectors: Sequence[CoefficientVector],
     r: float,
     scale: ScaleSpec,
     sigma: LocalizationVector,
@@ -611,34 +617,28 @@ def transfer_check(
     *,
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
-) -> TransferReport:
-    """Per-coefficient transference: real value <= sup of modulated p-adic values.
+) -> list[TransferReport]:
+    """Per-coefficient transference: real value <= sup of modulated p-adic
+    values, one report per vector, in order.
 
     The grid is the fine-level quadrature node set, for which the real value
     is a positively weighted average of the p-adic values at the grid points,
     so the comparison is guaranteed up to quadrature error.  Both sides read
     the same fine-level per-offset sums.
     """
-    _check_exponent(r)
     if not (math.isfinite(tol) and tol >= 0):
         raise InvalidInputError(f"tolerance must be a finite number >= 0, got {tol}")
     quad = quad or QuadratureConfig()
-    domain = build_domain(scale, sigma, system.degrees)
-    _check_cell_budget(domain, budget)
-    gs = _GridSum(system, coeffs, domain.cell_counts, threads=threads)
-    real_value, qerr, _, _, sums = _real_gauss(gs, r, scale, sigma, domain, quad)
-    exponent = sum(s - d for s, d in zip(sigma.sigma, system.degrees))
-    prefactor = float(_scale_power(scale, exponent))
-    padic_sup = float(prefactor * sums.max())
-    passed = real_value <= (1.0 + tol) * padic_sup + qerr
-    return TransferReport(
-        real_value=real_value,
-        padic_sup_over_grid=padic_sup,
-        passed=bool(passed),
-        tolerance=tol,
-        quadrature_error_bound=qerr,
-        grid_size=len(sums),
-    )
+    vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)
+    grid = _GridSum(phase_vals, domain.cell_counts, threads)
+    levels, grid_size = _real_gauss(grid, vectors, r, scale, sigma, domain, quad)
+    prefactor = 1 / grid.total  # N^(sum(sigma_j - deg_j)), correctly rounded
+    reports = []
+    for real_value, qerr, top in levels:
+        padic_sup = float(prefactor * top)
+        passed = bool(real_value <= (1.0 + tol) * padic_sup + qerr)
+        reports.append(TransferReport(real_value, padic_sup, passed, qerr, grid_size))
+    return reports
 
 
 def sample_coefficients(
@@ -712,36 +712,25 @@ def estimate_restriction_constant(
         raise InvalidInputError(f"no sampler given; choose from {SAMPLER_NAMES}")
     if draws < 1:
         raise InvalidInputError(f"draws must be >= 1, got {draws}")
+    labels = [(sampler, draw) for sampler in samplers
+              for draw in range(draws if sampler.startswith("random") else 1)]
+    vectors = [sample_coefficients(sampler, domain, seed, draw)
+               for sampler, draw in labels]
+    if side == "padic":
+        reports = padic_short_mv(system, vectors, r, scale, sigma,
+                                 budget=budget, threads=threads)
+    else:
+        reports = real_sparse_mv(system, vectors, r, scale, sigma, quad,
+                                 budget=budget, threads=threads)
     rows = []
     best = (-math.inf, "", -1)
-    for sampler in samplers:
-        n_draws = draws if sampler.startswith("random") else 1
-        for draw in range(n_draws):
-            coeffs = sample_coefficients(sampler, domain, seed, draw)
-            if side == "padic":
-                report = padic_short_mv(
-                    system, coeffs, r, scale, sigma, budget=budget, threads=threads
-                )
-            else:
-                report = real_sparse_mv(
-                    system, coeffs, r, scale, sigma, quad,
-                    budget=budget, threads=threads,
-                )
-            denom = coeffs.ell_r(r)
-            ratio = report.value / denom
-            rows.append(
-                SamplerRow(
-                    sampler=sampler,
-                    draw=draw,
-                    seed=seed,
-                    value=report.value,
-                    denominator=denom,
-                    ratio=ratio,
-                    error_bound=report.quadrature_error_bound,
-                )
-            )
-            if ratio > best[0]:
-                best = (ratio, sampler, draw)
+    for (sampler, draw), coeffs, report in zip(labels, vectors, reports):
+        denom = coeffs.ell_r(r)
+        ratio = report.value / denom
+        rows.append(SamplerRow(sampler, draw, seed, report.value, denom, ratio,
+                               report.quadrature_error_bound))
+        if ratio > best[0]:
+            best = (ratio, sampler, draw)
     return RestrictionEstimate(
         value=best[0], best_sampler=best[1], best_draw=best[2], rows=tuple(rows)
     )
@@ -775,11 +764,10 @@ def corollary_ratio_experiment(
         N = scale.N
         domain = IndexDomain.box(N, 1)
         envelope = N ** (r / 2.0) + N ** (r - 4.0 + float(sigma2))
-        for sampler in samplers:
-            coeffs = sample_coefficients(sampler, domain, seed, 0)
-            report = padic_short_mv(
-                system, coeffs, r, scale, sigma, budget=budget, threads=threads
-            )
+        vectors = [sample_coefficients(sampler, domain, seed, 0) for sampler in samplers]
+        reports = padic_short_mv(system, vectors, r, scale, sigma,
+                                 budget=budget, threads=threads)
+        for sampler, coeffs, report in zip(samplers, vectors, reports):
             denom = coeffs.ell_r(r)
             ratio = report.value / denom
             rows.append(

@@ -175,16 +175,17 @@ def count_solutions(
             requested=N**d,
             budget=budget,
         )
-    J = convolution_counts(_key_columns(minpoly, k, N, transcendental),
-                           np.ones(N**d, dtype=np.int64), s,
-                           max_work=budget - (s - 1) * _PASS_PAIRS)
-    if J is None:
+    pass_cost = (s - 1) * _PASS_PAIRS
+    try:
+        J = convolution_counts(_key_columns(minpoly, k, N, transcendental),
+                               np.ones(N**d, dtype=np.int64), s,
+                               max_work=budget - pass_cost)
+    except BudgetExceededError as exc:
+        work = exc.requested + pass_cost
         raise BudgetExceededError(
-            f"{s - 1} convolution passes over {N}^{d} keys exceed work "
-            f"budget {budget}",
-            requested=budget + 1,  # W plus the pass costs is at least this
-            budget=budget,
-        )
+            f"{s - 1} convolution passes over {N}^{d} keys need work W = "
+            f"{exc.requested} plus {pass_cost} for the passes = {work}, over "
+            f"budget {budget}", requested=work, budget=budget) from None
     return SolutionCountRecord(s=s, k=k, d=d, N=N, minpoly=minpoly, J=J, method="hash")
 
 

@@ -448,13 +448,13 @@ def test_criterion_9_property_suite(tmp_path, capsys):
     coeffs = sample_coefficients("random-phase", domain, seed=5, draw=1)
     c = 0.75 - 0.5j
     scaled_coeffs = CoefficientVector(domain, c * coeffs.amplitude)
-    base = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
-    scaled = padic_short_mv(PARABOLA, scaled_coeffs, 4.0, scale, _sigma(0, 1)).value
+    base = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0].value
+    scaled = padic_short_mv(PARABOLA, [scaled_coeffs], 4.0, scale, _sigma(0, 1))[0].value
     assert scaled == pytest.approx(abs(c) ** 4 * base, rel=1e-9)
-    real_base = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
+    real_base = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0].value
     real_scaled = real_sparse_mv(
-        PARABOLA, scaled_coeffs, 4.0, scale, _sigma(0, 1)
-    ).value
+        PARABOLA, [scaled_coeffs], 4.0, scale, _sigma(0, 1)
+    )[0].value
     assert real_scaled == pytest.approx(abs(c) ** 4 * real_base, rel=1e-9)
 
     # byte-identical CSV across runs and thread counts

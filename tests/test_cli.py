@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from sparsemv import cli, exact
 from sparsemv.cli import main, parse_rational_list
 from sparsemv.errors import InvalidInputError
-from sparsemv.meanvalue import SAMPLER_NAMES
+from sparsemv.meanvalue import SAMPLER_NAMES, IndexDomain
 
 
 def run(args, capsys):
@@ -390,7 +390,7 @@ def test_transfer_check_pass_and_forced_failure(tmp_path, capsys, monkeypatch):
     check = cli.transfer_check
 
     def failing(*args, **kwargs):
-        return dataclasses.replace(check(*args, **kwargs), passed=False)
+        return [dataclasses.replace(rep, passed=False) for rep in check(*args, **kwargs)]
 
     monkeypatch.setattr(cli, "transfer_check", failing)
     code, _, err = run(base, capsys)
@@ -425,6 +425,28 @@ def test_transfer_check_rejects_non_finite_sides_and_bad_tolerance(tmp_path, arg
     assert proc.stderr.startswith("invalid input: ")
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_transfer_check_vectors_on_different_domains_exit_1(tmp_path, capsys,
+                                                             monkeypatch):
+    # every vector of one call must live on one index domain: the second
+    # draw here comes on a wider box
+    sample = cli.sample_coefficients
+
+    def drifting(sampler, domain, seed, draw):
+        if draw:
+            domain = IndexDomain.box(len(domain) + draw, domain.dimension)
+        return sample(sampler, domain, seed, draw)
+
+    monkeypatch.setattr(cli, "sample_coefficients", drifting)
+    code, out, err = run(
+        ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+         "--vectors", "2", "--out", str(tmp_path / "tc.csv")],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert err == "invalid input: coefficient vectors must share one index domain\n"
+    assert not (tmp_path / "tc.csv").exists()
 
 
 def test_transfer_check_all_zero_coefficients(tmp_path, capsys):

@@ -272,6 +272,28 @@ def test_fsum_rows_matches_fsum_per_column(columns):
         assert _same_float(got, _fsum_oracle(col)), col
 
 
+@st.composite
+def _short_columns(draw):
+    k = draw(st.integers(1, 16))
+    column = st.lists(_TERMS, min_size=k, max_size=k)
+    if k >= 3:
+        column = st.one_of(column, _near_tie(k))
+    return draw(st.lists(column, min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_short_columns())
+def test_column_sums_match_fsum_per_column(columns):
+    # fsum_rows alone below six rows, one extraction round and
+    # its certificate from there on: math.fsum per column either way
+    x = np.array(columns, dtype=np.float64).T
+    before = x.copy()
+    sums = exact._column_sums(x)
+    np.testing.assert_array_equal(x, before)  # only read
+    for got, col in zip(sums.tolist(), columns):
+        assert _same_float(got, _fsum_oracle(col)), col
+
+
 def test_fsum_rows_edge_columns():
     columns = [
         [1e-16, 1.0, 1e16],  # the half-even fix rounds up to ...02

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -18,6 +19,7 @@ from sparsemv.errors import BudgetExceededError, InvalidInputError
 from sparsemv import exact
 from sparsemv.exact import convolution_counts, fsum_rows
 from sparsemv.meanvalue import (
+    SAMPLER_NAMES,
     CoefficientVector,
     IndexDomain,
     corollary_ratio_experiment,
@@ -37,6 +39,7 @@ from sparsemv.meanvalue import (  # internal, exercised on purpose
 from sparsemv.domains import build_domain
 from sparsemv.numberfield import (
     MinimalPolynomial,
+    PhaseComponent,
     expand_trace_phase,
     moment_curve,
     parabola_system,
@@ -52,6 +55,13 @@ CUBE_ROOT_2 = expand_trace_phase(MinimalPolynomial.parse("-2,0,0"), 2)  # Q(2^(1
 
 def _sigma(*vals):
     return LocalizationVector(tuple(Fraction(v) for v in vals))
+
+
+def _grid(system, coeffs, moduli, threads=1):
+    """The grid of the system's phases on the vector's domain, viewed with
+    the vector's coefficients."""
+    phases = meanvalue._phase_values(system, coeffs.domain)
+    return _GridSum(phases, moduli, threads).view(coeffs)
 
 
 # --- oracles ----------------------------------------------------------------
@@ -107,7 +117,7 @@ def test_orthogonality_r2_random_coefficients():
         scale = ScaleSpec(p=p, K=K)
         domain = IndexDomain.box(scale.N, 1)
         coeffs = sample_coefficients("random-phase", domain, seed=11, draw=K)
-        report = padic_short_mv(PARABOLA, coeffs, 2.0, scale, _sigma(0, 0))
+        report = padic_short_mv(PARABOLA, [coeffs], 2.0, scale, _sigma(0, 0))[0]
         expected = coeffs.ell_r(2.0)
         assert report.value == pytest.approx(expected, rel=1e-9)
         # a transform value: its bound is a rounding estimate, not 0
@@ -121,7 +131,7 @@ def test_padic_equals_congruence_count_parabola():
     for N, p, K in ((3, 3, 1), (9, 3, 2), (5, 5, 1)):
         scale = ScaleSpec(p=p, K=K)
         coeffs = CoefficientVector.ones(IndexDomain.box(N, 1))
-        report = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+        report = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0]
         expected = congruence_count(PARABOLA, N, 2)
         assert report.value == pytest.approx(expected, rel=1e-9)
 
@@ -131,7 +141,7 @@ def test_padic_n3_matches_exact_quadruple_count():
     # value is the brute-force count of a+b=c+d, a^2+b^2=c^2+d^2
     scale = ScaleSpec(p=3, K=1)
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
-    report = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    report = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0]
     count = sum(
         1
         for a, b, c, d in product(range(3), repeat=4)
@@ -147,7 +157,7 @@ def test_padic_parabola_n9_aliasing_value():
     # (equal mod 9) and square sums 17 and 98 (equal mod 81)
     scale = ScaleSpec(p=3, K=2)
     coeffs = CoefficientVector.ones(IndexDomain.box(9, 1))
-    report = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    report = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0]
     assert congruence_count(PARABOLA, 9, 2) == 161
     assert exact_solution_count(PARABOLA, 9, 2) == 153
     assert report.value == pytest.approx(161.0, rel=1e-9)
@@ -157,7 +167,7 @@ def test_padic_moment_curve_matches_exact_count():
     for N, p, K in ((3, 3, 1), (9, 3, 2), (5, 5, 1)):
         scale = ScaleSpec(p=p, K=K)
         coeffs = CoefficientVector.ones(IndexDomain.box(N, 1))
-        report = padic_short_mv(MOMENT3, coeffs, 4.0, scale, _sigma(0, 0, 0))
+        report = padic_short_mv(MOMENT3, [coeffs], 4.0, scale, _sigma(0, 0, 0))[0]
         cong = congruence_count(MOMENT3, N, 2)
         assert cong == exact_solution_count(MOMENT3, N, 2)
         assert report.value == pytest.approx(float(cong), rel=1e-9)
@@ -167,7 +177,7 @@ def test_padic_matches_naive_evaluation_with_localization():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=3, draw=0)
-    report = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1))
+    report = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0]
     assert report.value == pytest.approx(
         naive_padic_value(PARABOLA, coeffs, 3, (0, 1), 4.0), rel=1e-9
     )
@@ -179,7 +189,7 @@ def test_padic_single_point_is_one():
     coeffs = sample_coefficients("single-point", domain, seed=0)
     for sigma in (_sigma(0, 0), _sigma(0, 1), _sigma(1, 2)):
         for r in (2.0, 3.0, 4.0):
-            report = padic_short_mv(PARABOLA, coeffs, r, scale, sigma)
+            report = padic_short_mv(PARABOLA, [coeffs], r, scale, sigma)[0]
             assert report.value == pytest.approx(1.0, rel=1e-12)
 
 
@@ -187,11 +197,11 @@ def test_padic_scaling_covariance():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=8)
-    base = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)).value
+    base = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0].value
     scaled = padic_short_mv(
-        PARABOLA, CoefficientVector(domain, (0.5 - 1.25j) * coeffs.amplitude), 4.0,
+        PARABOLA, [CoefficientVector(domain, (0.5 - 1.25j) * coeffs.amplitude)], 4.0,
         scale, _sigma(0, 1)
-    ).value
+    )[0].value
     assert scaled == pytest.approx(abs(0.5 - 1.25j) ** 4 * base, rel=1e-9)
 
 
@@ -231,7 +241,7 @@ def test_padic_high_precision_path_agrees():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=4)
-    fast = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    fast = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0]
     slow = _mpmath_padic_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
     assert slow == pytest.approx(fast.value, rel=1e-12)
 
@@ -240,7 +250,7 @@ def test_padic_budget():
     scale = ScaleSpec(p=3, K=2)
     coeffs = CoefficientVector.ones(IndexDomain.box(9, 1))
     with pytest.raises(BudgetExceededError):
-        padic_short_mv(PARABOLA, coeffs, 2.0, scale, _sigma(0, 0), budget=100)
+        padic_short_mv(PARABOLA, [coeffs], 2.0, scale, _sigma(0, 0), budget=100)[0]
 
 
 # --- transform path against the direct evaluator and mpmath ------------------
@@ -268,7 +278,7 @@ def test_padic_transform_matches_direct_evaluator(system, p, K, sig, r):
         "random-phase", IndexDomain.box(scale.N, system.dimension), seed=31
     )
     cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
-    grid = _GridSum(system, coeffs, cells)
+    grid = _grid(system, coeffs, cells)
     assert grid.weighted_power_sum(r) == pytest.approx(
         _direct_power_sum(grid, r), rel=1e-12
     )
@@ -284,12 +294,12 @@ def test_real_exact_grid_transform_matches_direct_evaluator(system, p, K):
         "random-phase", IndexDomain.box(scale.N, system.dimension), seed=37
     )
     sig = _sigma(*([0] * len(system.components)))
-    report = real_sparse_mv(system, coeffs, float(r), scale, sig)
+    report = real_sparse_mv(system, [coeffs], float(r), scale, sig)[0]
     assert report.method == "real-exact"
     phase_rows = [[c.evaluate(pt) for pt in coeffs.domain.points]
                   for c in system.components]
     moduli = [(r // 2) * (max(row) - min(row)) + 1 for row in phase_rows]
-    direct = _direct_power_sum(_GridSum(system, coeffs, moduli), r) / math.prod(moduli)
+    direct = _direct_power_sum(_grid(system, coeffs, moduli), r) / math.prod(moduli)
     assert report.value == pytest.approx(direct, rel=1e-12)
 
 
@@ -297,7 +307,7 @@ def test_padic_transform_matches_mpmath_number_field_localized():
     scale = ScaleSpec(p=3, K=1)
     coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 2), seed=41)
     sig = _sigma(0, 0, 1, 1)
-    fast = padic_short_mv(GAUSSIAN, coeffs, 5.0, scale, sig)
+    fast = padic_short_mv(GAUSSIAN, [coeffs], 5.0, scale, sig)[0]
     slow = _mpmath_padic_mv(GAUSSIAN, coeffs, 5.0, scale, sig, prec=80)
     assert fast.value == pytest.approx(slow, rel=1e-12)
 
@@ -315,7 +325,7 @@ def test_padic_transform_matches_mpmath_oracle(system, p, K, sig, r):
     coeffs = sample_coefficients(
         "random-phase", IndexDomain.box(scale.N, system.dimension), seed=53
     )
-    fast = padic_short_mv(system, coeffs, r, scale, _sigma(*sig))
+    fast = padic_short_mv(system, [coeffs], r, scale, _sigma(*sig))[0]
     assert fast.value == pytest.approx(
         _mpmath_padic_mv(system, coeffs, r, scale, _sigma(*sig)), rel=1e-12
     )
@@ -355,14 +365,14 @@ def test_count_equals_rounded_transform(case):
     s = r // 2
     # p-adic: the cyclic count on the cells against the transform
     cells = build_domain(scale, sig, system.degrees).cell_counts
-    grid = _GridSum(system, coeffs, cells)
+    grid = _grid(system, coeffs, cells)
     count = convolution_counts(grid._residues, coeffs.amplitude, s, grid.moduli)
     exponent = sum(x - c.degree for x, c in zip(sig.sigma, system.components))
     prefactor = float(meanvalue._scale_power(scale, exponent))
     transform = prefactor * grid.weighted_power_sum(r)
     assert round(transform) == count
     assert transform == pytest.approx(count, rel=1e-12)
-    report = padic_short_mv(system, coeffs, float(r), scale, sig)
+    report = padic_short_mv(system, [coeffs], float(r), scale, sig)[0]
     if report.method == "padic-count":
         assert report.value == count
     # real at sigma = 0: the acyclic count of the raw phases against the
@@ -370,12 +380,12 @@ def test_count_equals_rounded_transform(case):
     phase_rows = grid.phase_vals
     acyclic = convolution_counts(phase_rows, coeffs.amplitude, s)
     moduli = [s * (max(row) - min(row)) + 1 for row in phase_rows]
-    real_grid = _GridSum(system, coeffs, moduli, phase_vals=phase_rows)
+    real_grid = _GridSum(phase_rows, moduli).view(coeffs)
     real_transform = real_grid.weighted_power_sum(r) / math.prod(moduli)
     assert round(real_transform) == acyclic
     assert real_transform == pytest.approx(acyclic, rel=1e-12)
     canonical = _sigma(*([0] * len(system.components)))
-    real = real_sparse_mv(system, coeffs, float(r), scale, canonical)
+    real = real_sparse_mv(system, [coeffs], float(r), scale, canonical)[0]
     if real.method == "real-count":
         assert real.value == acyclic and real.quadrature_error_bound == 0.0
 
@@ -389,15 +399,15 @@ def test_count_runs_only_when_its_work_fits_the_grid():
     ones = CoefficientVector.ones(IndexDomain.box(3, 1))
     sig = _sigma(0, 0)
     keys = [[0, 1, 2], [0, 1, 4]]  # n and n^2
-    padic = padic_short_mv(PARABOLA, ones, 8.0, scale, sig)
+    padic = padic_short_mv(PARABOLA, [ones], 8.0, scale, sig)[0]
     assert padic.method == "padic-exact"
     assert padic.value == pytest.approx(convolution_counts(keys, [1, 1, 1], 4, (3, 9)),
                                         rel=1e-12)
-    real = real_sparse_mv(PARABOLA, ones, 10.0, scale, sig)
+    real = real_sparse_mv(PARABOLA, [ones], 10.0, scale, sig)[0]
     assert real.method == "real-exact" and real.quadrature_error_bound > 0
     assert real.value == pytest.approx(convolution_counts(keys, [1, 1, 1], 5),
                                        rel=1e-12)
-    counted = real_sparse_mv(PARABOLA, ones, 8.0, scale, sig)
+    counted = real_sparse_mv(PARABOLA, [ones], 8.0, scale, sig)[0]
     assert counted.method == "real-count" and counted.quadrature_error_bound == 0.0
     assert counted.value == convolution_counts(keys, [1, 1, 1], 4)
 
@@ -415,15 +425,17 @@ def test_padic_exact_error_bound_covers_the_integer(system, p, K, sig, r, amplit
     scale = ScaleSpec(p=p, K=K)
     coeffs = CoefficientVector(IndexDomain.box(scale.N, system.dimension), amplitude)
     cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
-    grid = _GridSum(system, coeffs, cells)
+    grid = _grid(system, coeffs, cells)
     count = convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli)
     # the count's work bound is W = work > T: it runs under max_work = W only
     assert work > grid.total
     assert convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli,
                               max_work=work) == count
-    assert convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli,
-                              max_work=work - 1) is None
-    report = padic_short_mv(system, coeffs, float(r), scale, _sigma(*sig))
+    with pytest.raises(BudgetExceededError) as refusal:
+        convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli,
+                           max_work=work - 1)
+    assert (refusal.value.requested, refusal.value.budget) == (work, work - 1)
+    report = padic_short_mv(system, [coeffs], float(r), scale, _sigma(*sig))[0]
     assert report.method == "padic-exact"
     # the transform leaves rounding noise (686.9999999999997 for the first)
     assert abs(report.value - count) <= report.quadrature_error_bound < 1e-12 * count
@@ -435,12 +447,12 @@ def test_huge_even_exponent_runs_without_looping_over_its_passes():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     single = sample_coefficients("single-point", domain, seed=0)
-    report = padic_short_mv(PARABOLA, single, 1e308, scale, _sigma(0, 0))
+    report = padic_short_mv(PARABOLA, [single], 1e308, scale, _sigma(0, 0))[0]
     assert (report.value, report.method) == (1.0, "padic-exact")  # |S| = 1
-    assert transfer_check(PARABOLA, single, 1e308, scale, _sigma(0, 1)).passed
+    assert transfer_check(PARABOLA, [single], 1e308, scale, _sigma(0, 1))[0].passed
     with pytest.raises(InvalidInputError):  # |S| = 3 at the zero cell: inf
-        padic_short_mv(PARABOLA, CoefficientVector.ones(domain), 1e308, scale,
-                       _sigma(0, 0))
+        padic_short_mv(PARABOLA, [CoefficientVector.ones(domain)], 1e308, scale,
+                       _sigma(0, 0))[0]
 
 
 @pytest.mark.parametrize("real, sup", [(math.inf, 1.0), (1.0, math.inf),
@@ -448,7 +460,7 @@ def test_huge_even_exponent_runs_without_looping_over_its_passes():
 def test_transfer_report_rejects_a_side_that_is_not_finite(real, sup):
     with pytest.raises(InvalidInputError):
         meanvalue.TransferReport(real_value=real, padic_sup_over_grid=sup, passed=True,
-                                 tolerance=0.0, quadrature_error_bound=0.0, grid_size=1)
+                                 quadrature_error_bound=0.0, grid_size=1)
 
 
 def test_count_needs_gaussian_integers_without_phase_shift():
@@ -456,19 +468,19 @@ def test_count_needs_gaussian_integers_without_phase_shift():
     domain = IndexDomain.box(3, 1)
     sig = _sigma(0, 0)
     halves = CoefficientVector(domain, [0.5, 1.0, 1j])
-    assert padic_short_mv(PARABOLA, halves, 4.0, scale, sig).method == "padic-exact"
-    assert real_sparse_mv(PARABOLA, halves, 4.0, scale, sig).method == "real-exact"
+    assert padic_short_mv(PARABOLA, [halves], 4.0, scale, sig)[0].method == "padic-exact"
+    assert real_sparse_mv(PARABOLA, [halves], 4.0, scale, sig)[0].method == "real-exact"
     units = CoefficientVector(domain, [1.0, -1j, 0.0])
-    assert padic_short_mv(PARABOLA, units, 4.0, scale, sig).method == "padic-count"
+    assert padic_short_mv(PARABOLA, [units], 4.0, scale, sig)[0].method == "padic-count"
 
 
 def test_count_past_the_float_range_is_rejected_like_the_transform():
     scale = ScaleSpec(p=3, K=1)
     huge = CoefficientVector(IndexDomain.box(3, 1), [1e200, 0.0, 0.0])
     with pytest.raises(InvalidInputError):
-        padic_short_mv(PARABOLA, huge, 4.0, scale, _sigma(0, 0))
+        padic_short_mv(PARABOLA, [huge], 4.0, scale, _sigma(0, 0))[0]
     with pytest.raises(InvalidInputError):
-        real_sparse_mv(PARABOLA, huge, 4.0, scale, _sigma(0, 0))
+        real_sparse_mv(PARABOLA, [huge], 4.0, scale, _sigma(0, 0))[0]
 
 
 def test_counts_do_not_depend_on_the_block_size(monkeypatch):
@@ -476,8 +488,8 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch):
     coeffs = CoefficientVector(IndexDomain.box(9, 1),
                                [1, 1j, -1, 2, 0, 1 - 1j, 1, -2j, 1])
     def values():
-        return (padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)),
-                real_sparse_mv(PARABOLA, coeffs, 6.0, scale, _sigma(0, 0)))
+        return (padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0],
+                real_sparse_mv(PARABOLA, [coeffs], 6.0, scale, _sigma(0, 0))[0])
     default = values()
     assert [rep.method for rep in default] == ["padic-count", "real-count"]
     for block in (1, 200, 2000):  # one row of pairs per chunk, then a few
@@ -498,7 +510,7 @@ def test_real_grid_path_matches_exact_counts():
     for system, N, p, K, r, sig in cases:
         scale = ScaleSpec(p=p, K=K)
         coeffs = CoefficientVector.ones(IndexDomain.box(N, system.dimension))
-        report = real_sparse_mv(system, coeffs, r, scale, _sigma(*sig))
+        report = real_sparse_mv(system, [coeffs], r, scale, _sigma(*sig))[0]
         expected = exact_solution_count(system, N, int(r) // 2)
         assert report.value == pytest.approx(float(expected), rel=1e-9)
         assert report.method == "real-count"
@@ -507,15 +519,16 @@ def test_real_grid_path_matches_exact_counts():
 def _gauss_at(system, coeffs, r, scale, sig):
     """(value, error) of the two-level Gauss path, whatever real_sparse_mv picks."""
     domain = build_domain(scale, sig, system.degrees)
-    grid = _GridSum(system, coeffs, domain.cell_counts)
-    value, err, _, _, _ = _real_gauss(grid, r, scale, sig, domain, QuadratureConfig())
+    grid = _GridSum(meanvalue._phase_values(system, coeffs.domain), domain.cell_counts)
+    ((value, err, _),), _ = _real_gauss(grid, [coeffs], r, scale, sig, domain,
+                                        QuadratureConfig())
     return value, err
 
 
 def test_real_gauss_matches_grid_at_canonical_scale():
     scale = ScaleSpec(p=3, K=1)
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
-    grid = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    grid = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0]
     assert grid.method == "real-count"
     gauss, err = _gauss_at(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
     assert gauss == pytest.approx(grid.value, rel=1e-6)
@@ -530,26 +543,27 @@ def test_real_method_follows_sigma_exponent_and_budget(monkeypatch):
     cases = [((0, 0), 4.0, "real-exact"), ((0, 1), 4.0, "real-gauss"),
              ((0, 0), 3.0, "real-gauss"), ((0, 0), 4.5, "real-gauss")]
     for sig, r, method in cases:
-        assert real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(*sig)).method == method
+        report, = real_sparse_mv(PARABOLA, [coeffs], r, scale, _sigma(*sig))
+        assert report.method == method
     # r = 100 at N = 3: the exact grid needs 101 x 201 = 20301 samples and the
     # fine Gauss level 27 cells x 512 nodes = 13824 evaluations
     ones = CoefficientVector.ones(IndexDomain.box(3, 1))
     sig = _sigma(0, 0)
-    assert real_sparse_mv(PARABOLA, ones, 100.0, scale, sig).method == "real-exact"
+    assert real_sparse_mv(PARABOLA, [ones], 100.0, scale, sig)[0].method == "real-exact"
     monkeypatch.setattr(meanvalue, "NODE_BUDGET", 15000)
-    over = real_sparse_mv(PARABOLA, ones, 100.0, scale, sig)
+    over = real_sparse_mv(PARABOLA, [ones], 100.0, scale, sig)[0]
     assert over.method == "real-gauss"
     assert over.value == _gauss_at(PARABOLA, ones, 100.0, scale, sig)[0]
     monkeypatch.setattr(meanvalue, "NODE_BUDGET", 3000)
     with pytest.raises(BudgetExceededError):
-        real_sparse_mv(PARABOLA, ones, 100.0, scale, sig)
+        real_sparse_mv(PARABOLA, [ones], 100.0, scale, sig)[0]
 
 
 def test_real_single_point_max_localization():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("single-point", domain, seed=0)
-    report = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(1, 2))
+    report = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(1, 2))[0]
     assert report.method == "real-gauss"
     assert report.value == pytest.approx(1.0, rel=1e-9)
 
@@ -558,7 +572,7 @@ def test_real_zero_coefficients():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = CoefficientVector(domain, np.zeros(3, dtype=np.complex128))
-    report = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1))
+    report = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0]
     assert report.value == 0.0
 
 
@@ -568,7 +582,7 @@ def test_real_non_even_exponent_against_riemann_oracle():
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=21)
     r = 2.5
-    report = real_sparse_mv(PARABOLA, coeffs, r, scale, _sigma(0, 0))
+    report = real_sparse_mv(PARABOLA, [coeffs], r, scale, _sigma(0, 0))[0]
     assert report.method == "real-gauss"
     M = 420
     xs = (np.arange(M) + 0.5) / M
@@ -584,7 +598,7 @@ def test_real_non_even_exponent_against_riemann_oracle():
     assert report.value == pytest.approx(oracle, rel=2e-3)
 
 
-def test_real_localized_equals_weighted_padic_average():
+def test_real_localized_equals_weighted_padic_average(monkeypatch):
     # the change-of-variables decomposition behind the quadrature: the real
     # value is the weighted average over node offsets of modulated p-adic
     # values, with weights summing to the cell volume
@@ -593,17 +607,24 @@ def test_real_localized_equals_weighted_padic_average():
     coeffs = sample_coefficients("random-phase", domain, seed=13)
     sig = _sigma(0, 1)
     sparse = build_domain(scale, sig, PARABOLA.degrees)
-    value, err, offsets, weights, _ = _real_gauss(
-        _GridSum(PARABOLA, coeffs, sparse.cell_counts), 4.0, scale, sig, sparse,
-        QuadratureConfig(),
-    )
+    levels = []  # the (offsets, weights) of each Gauss level
+
+    def recording(*args):
+        levels.append(tensor_offsets(*args))
+        return levels[-1]
+
+    monkeypatch.setattr(meanvalue, "tensor_offsets", recording)
+    grid = _GridSum(meanvalue._phase_values(PARABOLA, domain), sparse.cell_counts)
+    ((value, err, _),), _ = _real_gauss(grid, [coeffs], 4.0, scale, sig, sparse,
+                                        QuadratureConfig())
+    offsets, weights = levels[-1]  # the fine level
     P = np.array([[c.evaluate(pt) for pt in domain.points] for c in PARABOLA.components])
+    # the modulated coefficients a_n e(v . P(n)), one vector per offset v
+    mods = [CoefficientVector(domain, coeffs.amplitude * np.exp(2j * np.pi * (v @ P)))
+            for v in offsets]
     recomputed = 0.0
-    for v, w in zip(offsets, weights):
-        # the modulated coefficients a_n e(v . P(n))
-        mod = CoefficientVector(domain, coeffs.amplitude * np.exp(2j * np.pi * (v @ P)))
-        padic = padic_short_mv(PARABOLA, mod, 4.0, scale, sig).value
-        recomputed += w * padic
+    for w, report in zip(weights, padic_short_mv(PARABOLA, mods, 4.0, scale, sig)):
+        recomputed += w * report.value
     cell_volume = math.prod(float(2 * h) for h in sparse.cell_halfwidths)
     recomputed /= cell_volume
     assert value == pytest.approx(recomputed, rel=1e-9)
@@ -615,7 +636,7 @@ def test_transfer_single_point_passes_with_both_sides_one():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("single-point", domain, seed=0)
-    report = transfer_check(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1))
+    report = transfer_check(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0]
     assert report.passed
     assert report.real_value == pytest.approx(1.0, rel=1e-6)
     assert report.padic_sup_over_grid == pytest.approx(1.0, rel=1e-9)
@@ -627,8 +648,8 @@ def test_cov_identity_random_coefficients_where_sets_match():
     for system, sig in ((PARABOLA, _sigma(0, 0)), (MOMENT3, _sigma(0, 0, 0))):
         scale = ScaleSpec(p=3, K=1)
         coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=19)
-        padic = padic_short_mv(system, coeffs, 4.0, scale, sig).value
-        real = real_sparse_mv(system, coeffs, 4.0, scale, sig).value
+        padic = padic_short_mv(system, [coeffs], 4.0, scale, sig)[0].value
+        real = real_sparse_mv(system, [coeffs], 4.0, scale, sig)[0].value
         assert real == pytest.approx(padic, rel=1e-9)
 
 
@@ -636,9 +657,9 @@ def test_transfer_sigma_zero_degenerate():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=17)
-    report = transfer_check(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0))
+    report = transfer_check(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0]
     assert report.passed
-    padic = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0)).value
+    padic = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0].value
     # at N = 3 the congruence and exact solution sets coincide, so every
     # shifted grid average equals the torus integral
     assert report.real_value == pytest.approx(padic, rel=1e-6)
@@ -649,7 +670,7 @@ def test_transfer_random_vectors_parabola_localized():
     domain = IndexDomain.box(9, 1)
     for draw in range(5):
         coeffs = sample_coefficients("random-phase", domain, seed=42, draw=draw)
-        report = transfer_check(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1))
+        report = transfer_check(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0]
         assert report.passed, draw
         assert report.real_value <= (1 + 1e-6) * report.padic_sup_over_grid + \
             report.quadrature_error_bound
@@ -659,7 +680,7 @@ def test_transfer_moment_curve_localized():
     scale = ScaleSpec(p=3, K=1)
     domain = IndexDomain.box(3, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=7, draw=2)
-    report = transfer_check(MOMENT3, coeffs, 4.0, scale, _sigma(0, 0, 1))
+    report = transfer_check(MOMENT3, [coeffs], 4.0, scale, _sigma(0, 0, 1))[0]
     assert report.passed
 
 
@@ -775,11 +796,11 @@ def test_threads_do_not_change_values():
     scale = ScaleSpec(p=3, K=2)
     domain = IndexDomain.box(9, 1)
     coeffs = sample_coefficients("random-phase", domain, seed=23)
-    lone = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0), threads=1)
-    four = padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0), threads=4)
+    lone = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0), threads=1)[0]
+    four = padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0), threads=4)[0]
     assert lone.value == four.value  # bit identical
-    real1 = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1), threads=1)
-    real4 = real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1), threads=4)
+    real1 = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1), threads=1)[0]
+    real4 = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1), threads=4)[0]
     assert real1.value == real4.value
 
 
@@ -789,7 +810,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
     coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=29)
     domain = build_domain(scale, _sigma(0, 1), PARABOLA.degrees)
     offsets, weights = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
-    grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
+    grid = _grid(PARABOLA, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     V = len(offsets)
     default_rows = exact._BLOCK_BYTES // (16 * V)
@@ -808,7 +829,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
         expected_total = math.fsum(w * c for w, c in zip(weights, expected_columns))
         monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * V * rows)
         for threads in (1, 2):
-            grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
+            grid = _grid(PARABOLA, coeffs, domain.cell_counts, threads=threads)
             per_offset = grid.per_offset_power_sum(4.0, factors)
             assert per_offset.tolist() == expected_columns
             assert fsum_rows(weights * per_offset) == expected_total
@@ -824,7 +845,7 @@ def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
     coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=31)
     domain = build_domain(scale, _sigma(0, 1), PARABOLA.degrees)
     offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
-    grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
+    grid = _grid(PARABOLA, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     V = len(offsets)
     rows = 7
@@ -852,7 +873,7 @@ def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
     monkeypatch.setattr(_GridSum, "_power_block", counting)
     for threads in (1, 2):
         blocks.clear()
-        grid = _GridSum(PARABOLA, coeffs, domain.cell_counts, threads=threads)
+        grid = _grid(PARABOLA, coeffs, domain.cell_counts, threads=threads)
         assert grid.per_offset_power_sum(4.0, factors).tolist() == expected
         assert len(blocks) == 2 * -(-grid.total // rows)  # every block twice
 
@@ -866,7 +887,7 @@ def test_offset_sums_near_and_past_the_float_range(monkeypatch, r, rows):
     coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=31)
     domain = build_domain(scale, _sigma(0, 1), PARABOLA.degrees)
     offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1), 4)
-    grid = _GridSum(PARABOLA, coeffs, domain.cell_counts)
+    grid = _grid(PARABOLA, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     if rows is None:
         rows = grid.total
@@ -952,7 +973,7 @@ def test_offset_sums_match_direct_oracle(system, p, K, sig):
     domain = build_domain(scale, _sigma(*sig), system.degrees)
     offsets = _random_offsets(domain.cell_halfwidths, 3, seed=47)
     weights = np.array([0.5, 1.25, 2.0])
-    grid = _GridSum(system, coeffs, domain.cell_counts)
+    grid = _grid(system, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     rows = _direct_abs_squared(system, coeffs, domain.cell_counts, offsets)
     for r in (3.0, 4.0, 5.0):
@@ -999,7 +1020,7 @@ def test_even_offset_sums_by_convolution_match_direct_oracle(
         coeffs = sample_coefficients(sampler, domain, seed=59)
     cells = build_domain(scale, _sigma(*sig), system.degrees)
     offsets = _random_offsets(cells.cell_halfwidths, 3, seed=61)
-    grid = _GridSum(system, coeffs, cells.cell_counts)
+    grid = _grid(system, coeffs, cells.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     rows = _direct_abs_squared(system, coeffs, cells.cell_counts, offsets)
     for r in (4.0, 6.0):
@@ -1043,7 +1064,7 @@ def test_offset_convolution_at_zero_offset_is_the_integer_count(case):
     # the engine's two users: complex offset columns against integer parts
     system, scale, sig, coeffs, r = case
     cells = build_domain(scale, sig, system.degrees).cell_counts
-    grid = _GridSum(system, coeffs, cells)
+    grid = _grid(system, coeffs, cells)
     zero = _offset_factors(grid.phase_vals, np.zeros((1, len(system.components))))
     with mock.patch.object(meanvalue, "convolution_power",
                            wraps=meanvalue.convolution_power) as engine:
@@ -1057,15 +1078,16 @@ def test_even_offset_sums_take_the_convolution_only_below_a_quarter_grid(monkeyp
     runs = _counting_convolutions(monkeypatch)
     coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=5)
     # parabola p=3 K=2 sigma (0,1): |H| = 9, W = 81 = T
-    assert transfer_check(PARABOLA, coeffs, 4.0, ScaleSpec(p=3, K=2), _sigma(0, 1)).passed
+    report, = transfer_check(PARABOLA, [coeffs], 4.0, ScaleSpec(p=3, K=2), _sigma(0, 1))
+    assert report.passed
     assert runs == []
     # moment curve p=3 K=1 sigma (0,0,1): |H| = 3, W = 9, T = 243, both levels
     coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=5)
-    assert transfer_check(MOMENT3, coeffs, 4.0, ScaleSpec(p=3, K=1),
-                          _sigma(0, 0, 1)).passed
+    assert transfer_check(MOMENT3, [coeffs], 4.0, ScaleSpec(p=3, K=1),
+                          _sigma(0, 0, 1))[0].passed
     assert [total for total, _ in runs] == [243, 243]
     runs.clear()  # odd r runs direct
-    transfer_check(MOMENT3, coeffs, 3.0, ScaleSpec(p=3, K=1), _sigma(0, 0, 1))
+    transfer_check(MOMENT3, [coeffs], 3.0, ScaleSpec(p=3, K=1), _sigma(0, 0, 1))[0]
     assert runs == []
 
 
@@ -1076,7 +1098,7 @@ def test_convolution_blocks_and_threads_do_not_change_offset_sums(monkeypatch):
     offsets, _ = tensor_offsets(domain.cell_halfwidths, (1, 1, 1), 4)
     factors = _offset_factors(meanvalue._phase_values(MOMENT3, coeffs.domain), offsets)
     V = len(offsets)
-    default = _GridSum(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
+    default = _grid(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
         4.0, factors)
     assert runs == [(243, V)]  # one block
     # a pass of W = 9 pairs takes 32 bytes per pair and 32 more per offset column
@@ -1084,14 +1106,14 @@ def test_convolution_blocks_and_threads_do_not_change_offset_sums(monkeypatch):
         monkeypatch.setattr(exact, "_BLOCK_BYTES", 9 * 32 * (columns + 1))
         for threads in (1, 2):
             runs.clear()
-            grid = _GridSum(MOMENT3, coeffs, domain.cell_counts, threads=threads)
+            grid = _grid(MOMENT3, coeffs, domain.cell_counts, threads=threads)
             assert grid.per_offset_power_sum(4.0, factors).tolist() == default.tolist()
             blocks = [width for _, width in runs]
             assert sum(blocks) == V and max(blocks) == columns
             assert len(blocks) == -(-V // columns)
     monkeypatch.setattr(exact, "_BLOCK_BYTES", 9 * 64 - 1)  # no column fits
     runs.clear()
-    direct = _GridSum(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
+    direct = _grid(MOMENT3, coeffs, domain.cell_counts).per_offset_power_sum(
         4.0, factors)
     assert runs == []
     np.testing.assert_allclose(direct, default, rtol=1e-13)
@@ -1109,10 +1131,10 @@ def test_phase_values_evaluated_once_per_call(monkeypatch):
     scale = ScaleSpec(p=3, K=2)
     coeffs = sample_coefficients("random-phase", IndexDomain.box(9, 1), seed=3)
     runs = [
-        lambda: padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)),
-        lambda: real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0)),
-        lambda: real_sparse_mv(PARABOLA, coeffs, 3.0, scale, _sigma(0, 1)),
-        lambda: transfer_check(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1)),
+        lambda: padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0],
+        lambda: real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0))[0],
+        lambda: real_sparse_mv(PARABOLA, [coeffs], 3.0, scale, _sigma(0, 1))[0],
+        lambda: transfer_check(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1))[0],
     ]
     for call in runs:
         calls.clear()
@@ -1126,7 +1148,7 @@ def test_non_finite_or_small_exponent_rejected(r):
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
     for fn in (padic_short_mv, real_sparse_mv, transfer_check):
         with pytest.raises(InvalidInputError):
-            fn(PARABOLA, coeffs, r, scale, _sigma(0, 1))
+            fn(PARABOLA, [coeffs], r, scale, _sigma(0, 1))
 
 
 def test_threads_below_one_rejected():
@@ -1134,6 +1156,113 @@ def test_threads_below_one_rejected():
     coeffs = CoefficientVector.ones(IndexDomain.box(3, 1))
     for threads in (0, -3):
         with pytest.raises(InvalidInputError):
-            padic_short_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 0), threads=threads)
+            padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0), threads=threads)
         with pytest.raises(InvalidInputError):
-            real_sparse_mv(PARABOLA, coeffs, 4.0, scale, _sigma(0, 1), threads=threads)
+            real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1), threads=threads)
+
+
+# --- one grid set-up per call, shared by every vector ----------------------------
+
+#: (system, p, K, sigma, r) and the engines its vectors run on: the count or
+#: the transform without offsets, the GEMM or the offset convolution with them
+SHARED_SETUP_CASES = [
+    (PARABOLA, 3, 2, (0, 1), 4.0),  # padic-count (all-ones) and padic-exact
+    (PARABOLA, 3, 2, (0, 0), 4.0),  # real-count and real-exact
+    (PARABOLA, 3, 1, (0, 1), 3.0),  # odd r: Gauss offsets by GEMM
+    (MOMENT3, 3, 1, (0, 0, 1), 4.0),  # even r, W <= T/4: offset convolution
+]
+
+
+@st.composite
+def _mixed_vectors(draw):
+    """All four samplers, in any order, plus a few more draws, on one domain."""
+    labels = [(name, 0) for name in draw(st.permutations(SAMPLER_NAMES))]
+    labels += draw(st.lists(st.tuples(st.sampled_from(SAMPLER_NAMES),
+                                      st.integers(1, 3)), max_size=2))
+    seed = draw(st.integers(0, 2**16))
+    return draw(st.permutations(labels)), seed
+
+
+@pytest.mark.parametrize("system, p, K, sig, r", SHARED_SETUP_CASES)
+@settings(max_examples=4, deadline=None)
+@given(_mixed_vectors())
+def test_multi_vector_reports_equal_one_vector_reports(system, p, K, sig, r, mixed):
+    labels, seed = mixed
+    scale = ScaleSpec(p=p, K=K)
+    domain = IndexDomain.box(scale.N, system.dimension)
+    vectors = [sample_coefficients(name, domain, seed, d) for name, d in labels]
+    for fn in (padic_short_mv, real_sparse_mv, transfer_check):
+        with mock.patch.object(meanvalue, "convolution_power",
+                               wraps=meanvalue.convolution_power) as engine, \
+             mock.patch.object(_GridSum, "_power_block", autospec=True,
+                               side_effect=_GridSum._power_block) as gemm:
+            together = fn(system, vectors, r, scale, _sigma(*sig))
+        alone = [fn(system, [coeffs], r, scale, _sigma(*sig))[0] for coeffs in vectors]
+        assert repr(together) == repr(alone)  # bit for bit, -0.0 included
+        if fn is transfer_check and r == 3.0:
+            assert gemm.call_count > 0
+        if fn is transfer_check and system is MOMENT3:
+            assert engine.call_count > 0 and gemm.call_count == 0
+    methods = {rep.method for fn in (padic_short_mv, real_sparse_mv)
+               for rep in fn(system, vectors, r, scale, _sigma(*sig))}
+    if sig == (0, 1) and r == 4.0:
+        assert methods >= {"padic-count", "padic-exact"}
+    if sig == (0, 0):
+        assert methods >= {"real-count", "real-exact"}
+
+
+def test_transfer_check_sets_up_offsets_and_phases_once(monkeypatch):
+    calls = Counter()
+    original_offsets = meanvalue.tensor_offsets
+    original_evaluate = PhaseComponent.evaluate
+
+    def counting_offsets(*args):
+        calls["tensor_offsets"] += 1
+        return original_offsets(*args)
+
+    def counting_evaluate(self, pt):
+        calls["evaluate"] += 1
+        return original_evaluate(self, pt)
+
+    monkeypatch.setattr(meanvalue, "tensor_offsets", counting_offsets)
+    monkeypatch.setattr(PhaseComponent, "evaluate", counting_evaluate)
+    scale = ScaleSpec(p=3, K=2)
+    domain = IndexDomain.box(9, 1)
+    for n in (1, 7):
+        vectors = [sample_coefficients("random-phase", domain, 3, d) for d in range(n)]
+        calls.clear()
+        reports = transfer_check(PARABOLA, vectors, 4.0, scale, _sigma(0, 1))
+        assert len(reports) == n
+        assert calls == {"tensor_offsets": 2,  # the coarse and the fine level
+                         "evaluate": len(PARABOLA.components) * len(domain)}
+
+
+def test_vectors_must_share_one_index_domain():
+    scale = ScaleSpec(p=3, K=1)
+    three = CoefficientVector.ones(IndexDomain.box(3, 1))
+    other = CoefficientVector.ones(IndexDomain(points=((0,), (1,), (5,))))
+    twin = CoefficientVector.ones(IndexDomain.box(3, 1))  # an equal domain
+    assert len(padic_short_mv(PARABOLA, [three, twin], 4.0, scale, _sigma(0, 0))) == 2
+    for fn in (padic_short_mv, real_sparse_mv, transfer_check):
+        for vectors in ([three, other], []):
+            with pytest.raises(InvalidInputError):
+                fn(PARABOLA, vectors, 4.0, scale, _sigma(0, 1))
+
+
+def test_transfer_check_memory_does_not_grow_with_vectors():
+    # the moment curve k=3 at p=3 K=1: 8192 fine offsets, each vector's
+    # per-offset sums as large as 8192 floats
+    scale = ScaleSpec(p=3, K=1)
+    domain = IndexDomain.box(3, 1)
+    peaks = {}
+    for n in (1, 16):
+        vectors = [sample_coefficients("random-phase", domain, 5, d) for d in range(n)]
+        transfer_check(MOMENT3, vectors[:1], 4.0, scale, _sigma(0, 0, 1))  # warm caches
+        tracemalloc.start()
+        try:
+            reports = transfer_check(MOMENT3, vectors, 4.0, scale, _sigma(0, 0, 1))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reports[0].grid_size >= 4096
+    assert peaks[16] <= 1.1 * peaks[1]

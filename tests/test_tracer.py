@@ -20,6 +20,10 @@ def test_perfbench_tracer_installs_and_counts_grid_sums(tmp_path):
         # even r on few residues: per-offset sums by convolution
         ["transfer-check", "--k", "3", "--p", "3", "--K", "1", "--sigma", "0,0,1",
          "--r", "4", "--vectors", "1"],
+        # several vectors per call: one grid, one view per vector
+        ["restriction-estimate", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+         "--side", "both", "--draws", "2"],
+        ["corollary-ratio", "--p", "3", "--K-list", "1,2", "--sigma", "1", "--r", "4"],
     ]
     argvs = [cmd + ["--out", str(tmp_path / f"{i}.csv")]
              for i, cmd in enumerate(commands)]

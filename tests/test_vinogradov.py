@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from sparsemv import exact
+from sparsemv import exact, vinogradov
 from sparsemv.errors import BudgetExceededError, InvalidInputError
 from sparsemv.numberfield import MinimalPolynomial
 from sparsemv.vinogradov import (
@@ -175,6 +175,15 @@ def test_budgets_bound_the_work_of_a_huge_s():
         count_solutions(LINE, 10**6, 1, 1)
     with pytest.raises(BudgetExceededError):
         count_solutions(LINE, 10**4, 1, 3)
+    # the refusal states W plus the pass costs: keys 0, 1, 2 (|H| = 3) with
+    # packed radix 2s + 1, so W = sum_t min(3^t, 2s + 1) 3 over 9999 passes
+    s = 10**4
+    work = sum(min(3**t, 2 * s + 1) * 3 for t in range(1, s))
+    with pytest.raises(BudgetExceededError) as refusal:
+        count_solutions(LINE, s, 1, 3)
+    requested = work + (s - 1) * vinogradov._PASS_PAIRS
+    assert (refusal.value.requested, refusal.value.budget) == (requested, 10**8)
+    assert f"W = {work} " in str(refusal.value) and str(requested) in str(refusal.value)
     # the oracle's budget covers its pairs and its s-term tuple keys
     with pytest.raises(BudgetExceededError):
         count_solutions_brute(LINE, 10**9, 1, 1)
