@@ -264,8 +264,8 @@ class _GridSum:
     sum_n E[iota, n] e(v . P(n)), one GEMM per block of cells; with a single
     zero offset that path is the reference the transform is tested against.
 
-    The grid holds what no coefficient changes: phases, residues and (once a
-    GEMM needs them) root tables.  Sums run on a :meth:`view`, which adds one
+    The grid holds what no coefficient changes: phases, residues and root
+    tables.  Sums run on a :meth:`view`, which adds one
     vector's coefficients as ``base`` and shares the rest.
     """
 
@@ -282,7 +282,7 @@ class _GridSum:
             np.array([v % m for v in vals], dtype=np.intp)
             for vals, m in zip(phase_vals, self.moduli)
         )
-        self._root_tables: list[np.ndarray] = []  # shared by every view
+        self._roots = tuple(root_table(m) for m in self.moduli)
         self.base = None
 
     def view(self, coeffs: CoefficientVector) -> "_GridSum":
@@ -291,18 +291,11 @@ class _GridSum:
         view.base = coeffs.values()
         return view
 
-    def _roots(self) -> list[np.ndarray]:
-        """The M_j-th roots of unity per axis j, built on first use (a GEMM
-        pass takes them before it starts its threads)."""
-        if not self._root_tables:
-            self._root_tables.extend(root_table(m) for m in self.moduli)
-        return self._root_tables
-
     def _point_rows(self, lo: int, hi: int) -> np.ndarray:
         """E[iota, n] = a_n prod_j e(iota_j P_j(n) / M_j) for iota in [lo, hi)."""
         E = np.repeat(self.base[None, :], hi - lo, axis=0)
         cols = np.unravel_index(np.arange(lo, hi), self.moduli)
-        for col, res, roots in zip(cols, self._residues, self._roots()):
+        for col, res, roots in zip(cols, self._residues, self._roots):
             E *= roots[np.multiply.outer(col, res) % len(roots)]
         return E
 
@@ -372,7 +365,6 @@ class _GridSum:
                 blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
                 return np.concatenate(self._map_blocks(convolved, blocks, list))
         rows = max(1, exact._BLOCK_BYTES // (16 * offsets))
-        self._roots()  # built here, before any thread reads them
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
 
         def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:

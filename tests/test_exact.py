@@ -284,8 +284,8 @@ def _short_columns(draw):
 @settings(max_examples=200, deadline=None)
 @given(_short_columns())
 def test_column_sums_match_fsum_per_column(columns):
-    # fsum_rows alone below six rows, one extraction round and
-    # its certificate from there on: math.fsum per column either way
+    # one extraction round, its certificate and full extraction of the
+    # open columns: math.fsum per column on few rows and many
     x = np.array(columns, dtype=np.float64).T
     before = x.copy()
     sums = exact._column_sums(x)
