@@ -26,7 +26,6 @@ from .counterexample import (
 )
 from .domains import (
     LocalizationVector,
-    SparseDomain,
     build_domain,
     emit_cell_csv,
     enumerate_cells,
@@ -35,7 +34,6 @@ from .exact import tree_sum
 from .meanvalue import (
     CoefficientVector,
     IndexDomain,
-    MeanValueReport,
     corollary_ratio_experiment,
     estimate_restriction_constant,
     padic_short_mv,
@@ -45,7 +43,6 @@ from .meanvalue import (
 )
 from .numberfield import (
     MinimalPolynomial,
-    PhaseSystem,
     epsilon_table,
     evaluate_phase,
     expand_trace_phase,
@@ -71,12 +68,9 @@ __all__ = [
     "HenselRoot",
     "IndexDomain",
     "LocalizationVector",
-    "MeanValueReport",
     "MinimalPolynomial",
-    "PhaseSystem",
     "QuadratureConfig",
     "ScaleSpec",
-    "SparseDomain",
     "build_domain",
     "corollary_ratio_experiment",
     "count_solutions",

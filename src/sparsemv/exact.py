@@ -99,13 +99,16 @@ def extract_partials(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.reshape(row, (-1,) + x.shape[1:]) for row in rows])
 
 
-def extract_once(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def extract_once(
+    x: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One round of :func:`extract_partials` down axis 0 of a nonempty 1-d or
     2-d float64 x, with an error bound in place of the further rounds.
 
-    Returns the rows [hi, tail], a bound E per column and the remainder r, a
-    new array; x is only read.  hi + sum r is the sum of x exactly, and tail
-    is numpy's sum of r.  With mu < 2^e and sigma = 2^(e + log_m) as in
+    Returns the rows [hi, tail], a bound E per column and the remainder r,
+    in ``out`` (x's shape) when given, else in a new array; x is only read.
+    hi + sum r is the sum of x exactly, and tail is numpy's sum of r.  With
+    mu < 2^e and sigma = 2^(e + log_m) as in
     extract_partials, every |r_i| <= ulp(sigma)/2 = 2^(e + log_m - 53), so
     any summation order of the n < 2^log_m remainders is off by less than
     gamma_(n-1) n 2^(e + log_m - 53) < E = 2^(e + 3 log_m - 105) (Higham,
@@ -119,7 +122,7 @@ def extract_once(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     whole = ~(mu < 2.0 ** (1023 - log_m))  # not finite, or sigma would not be
     e = np.frexp(np.where(whole, 0.0, mu))[1]
     sigma = np.ldexp(1.0, e + log_m)
-    q = x + sigma
+    q = np.add(x, sigma, out=out)
     q -= sigma
     if whole.any():
         np.copyto(q, 0.0, where=whole)
@@ -257,19 +260,33 @@ def tree_sum(values: np.ndarray | Iterable) -> complex | float:
 
 
 def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:
-    """|z|^r from |z|^2, for real r >= 2.
+    """|z|^r from |z|^2, for real r >= 2, in a new array (see :func:`_power_into`)."""
+    return _power_into(abs_squared, r, np.empty(np.shape(abs_squared)))
 
-    Even integer exponents stay in pure multiplications; other exponents use
-    exp((r/2) log |z|^2), in one output array, which maps zeros to zero.
-    A power past the float range is inf, without numpy's warning: the
-    callers reject an infinite mean value with a one-line message.
+
+def _power_into(abs_squared: np.ndarray, r: float, out: np.ndarray,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """|z|^r from |z|^2, for real r >= 2, written into and returned as out.
+
+    Even integer exponents stay in pure multiplications.  Odd integer
+    exponents take |z|^(r-1) sqrt(|z|^2), the root in ``work`` (a new array
+    when None): each factor is within an ulp, where exp and log lose a few
+    ulps to the rounding of the log.  Other exponents use exp((r/2) log
+    |z|^2), which maps zeros to zero.  out may be abs_squared itself, which
+    is otherwise only read.  A power past the float range is inf, without
+    numpy's warning: the callers reject an infinite mean value with a
+    one-line message.
     """
     half = r / 2.0
     with np.errstate(over="ignore"):
         if half == int(half):
-            return abs_squared ** int(half)
+            return np.power(abs_squared, int(half), out=out)
+        if r == int(r):
+            root = np.sqrt(abs_squared, out=work)
+            rest = abs_squared if half < 2 else np.power(abs_squared, int(half), out=out)
+            return np.multiply(rest, root, out=out)
         with np.errstate(divide="ignore"):  # log 0 = -inf and exp(-inf) = 0
-            out = np.log(abs_squared)
+            np.log(abs_squared, out=out)
         out *= half
         return np.exp(out, out=out)
 
@@ -282,7 +299,9 @@ def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool] | None:
     sum |Re w| + |Im w|, m^s bounds every value of every convolution power:
     the parts are int64 when m^s stays below 2^62, and Python ints otherwise.
     The flag says whether m^(2s), which bounds the final sum of squares,
-    reaches 2^62.
+    reaches 2^62.  Last comes the number of 62-bit words that a value of
+    the powers takes at most: 1 for int64 parts, else that of 2^(s b) > m^s,
+    b the bit length of m.
     """
     w = np.ascontiguousarray(weights)
     flat = w.view(np.float64) if w.dtype.kind == "c" else w  # re, im interleaved
@@ -302,10 +321,12 @@ def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool] | None:
     if len(parts) == 2 and not parts[1].any():
         parts.pop()
     bound = int(np.abs(ints).max(initial=0)) * len(ints)
+    words = 1
     # a bound of 2 or more passes 2^62 by its 62nd power: a larger s adds nothing
     if bound ** min(s, 62) >= _WORD_LIMIT:
         parts = [part.astype(object) for part in parts]
-    return parts, bound ** min(2 * s, 62) >= _WORD_LIMIT
+        words = -(-s * bound.bit_length() // 62)
+    return parts, bound ** min(2 * s, 62) >= _WORD_LIMIT, words
 
 
 def _word_groups(radices: list[int]) -> tuple[list[list[int]], type]:
@@ -422,15 +443,29 @@ def convolution_counts(
     :func:`convolution_power`, which convolves their real and imaginary
     parts as integers.  The result is an exact Python int, or None when some
     weight is not a Gaussian integer; work over ``max_work`` raises as in
-    :func:`convolution_power`.
+    :func:`convolution_power`.  When the parts are Python ints, the work W is
+    charged once per 62-bit word of their bound m^s (:func:`_integer_parts`),
+    since each pair multiplies and adds numbers that wide.
     """
     if s < 1:
         raise InvalidInputError(f"convolution power must be >= 1, got {s}")
     integer_parts = _integer_parts(weights, s)
     if integer_parts is None:
         return None
-    parts, wide_squares = integer_parts
-    G = convolution_power(keys, parts, s, moduli, max_work)
+    parts, wide_squares, words = integer_parts
+    # a pass over Python ints costs per 62-bit word of the values it forms:
+    # W pairs of `words` words each are charged W * words
+    try:
+        G = convolution_power(keys, parts, s, moduli,
+                              None if max_work is None else max_work // words)
+    except BudgetExceededError as exc:
+        if words == 1:
+            raise
+        work = exc.requested * words
+        raise BudgetExceededError(
+            f"convolution work {exc.requested} pairs x {words} words of 62 bits "
+            f"= {work} exceeds budget {max_work}", requested=work, budget=max_work
+        ) from None
     total = 0
     for part in G:
         if wide_squares:

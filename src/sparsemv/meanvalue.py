@@ -58,7 +58,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -283,6 +282,7 @@ class _GridSum:
             for vals, m in zip(phase_vals, self.moduli)
         )
         self._roots = tuple(root_table(m) for m in self.moduli)
+        self._tables = []  # see _point_tables
         self.base = None
 
     def view(self, coeffs: CoefficientVector) -> "_GridSum":
@@ -291,24 +291,50 @@ class _GridSum:
         view.base = coeffs.values()
         return view
 
-    def _point_rows(self, lo: int, hi: int) -> np.ndarray:
-        """E[iota, n] = a_n prod_j e(iota_j P_j(n) / M_j) for iota in [lo, hi)."""
-        E = np.repeat(self.base[None, :], hi - lo, axis=0)
-        cols = np.unravel_index(np.arange(lo, hi), self.moduli)
-        for col, res, roots in zip(cols, self._residues, self._roots):
-            E *= roots[np.multiply.outer(col, res) % len(roots)]
-        return E
+    def _point_tables(self) -> list[np.ndarray]:
+        """U_j[i, n] = e(i P_j(n) / M_j) for every axis j and i < M_j.
 
-    def _power_block(
-        self, lo: int, hi: int, r: float, offset_factors: np.ndarray
-    ) -> np.ndarray:
-        """|S(iota, v)|^r for iota in [lo, hi) and every offset v: one GEMM."""
-        S = np.matmul(self._point_rows(lo, hi), offset_factors.T)
+        Only the GEMM path reads them, so its first call builds them, before
+        any worker starts, into a list that every view shares.
+        """
+        if not self._tables:
+            self._tables.extend(
+                roots[np.multiply.outer(np.arange(len(roots)), res) % len(roots)]
+                for res, roots in zip(self._residues, self._roots))
+        return self._tables
+
+    def _block_buffers(self, rows: int, offsets: int) -> tuple[np.ndarray, ...]:
+        """Work space for row blocks of up to ``rows`` cells, in one
+        allocation: the point rows E, the complex sums S, their |S|^r and a
+        float scratch block."""
+        points = len(self.base)
+        space = np.empty(rows * (points + 2 * offsets), dtype=np.complex128)
+        E = space[:rows * points].reshape(rows, points)
+        S = space[rows * points:rows * (points + offsets)].reshape(rows, offsets)
+        power, scratch = space[rows * (points + offsets):].view(np.float64).reshape(
+            2, rows, offsets)
+        return E, S, power, scratch
+
+    def _power_block(self, lo: int, hi: int, r: float, offset_factors: np.ndarray,
+                     buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+        """|S(iota, v)|^r for iota in [lo, hi) and every offset v: one GEMM.
+
+        It runs in the first hi - lo rows of :meth:`_block_buffers` (new ones
+        when None) and returns them as the power block.  E[iota, n] =
+        a_n prod_j U_j[iota_j, n] takes its factors in axis order.
+        """
+        n = hi - lo
+        E, S, power, scratch = (buf[:n] for buf in
+                                buffers or self._block_buffers(n, len(offset_factors)))
+        E[:] = self.base
+        cols = np.unravel_index(np.arange(lo, hi), self.moduli)
+        for col, table in zip(cols, self._point_tables()):
+            E *= table[col]
+        np.matmul(E, offset_factors.T, out=S)
         parts = S.view(np.float64)  # re, im interleaved
         parts *= parts
-        a2 = parts[:, 0::2]
-        a2 += parts[:, 1::2]
-        return modulus_power(a2, r)
+        a2 = np.add(parts[:, 0::2], parts[:, 1::2], out=power)
+        return exact._power_into(a2, r, power, scratch)
 
     def per_offset_power_sum(self, r: float, offset_factors: np.ndarray) -> np.ndarray:
         """For each offset v: sum over iota of |S(iota, v)|^r.
@@ -333,8 +359,11 @@ class _GridSum:
         bit for bit.
 
         The direct path returns the correctly rounded sum of the |S|^r.  It
-        takes row blocks of iota under exact._BLOCK_BYTES of samples, one GEMM
-        each, which may run on several threads.  Each block takes one
+        takes row blocks of iota, one GEMM each, sized so that a block's
+        complex sums, powers and scratch (32 bytes per sample) fill
+        exact._BLOCK_BYTES.  Each worker thread runs a contiguous run of
+        blocks through buffers allocated once per call, so no block
+        allocates its samples afresh.  Each block takes one
         extraction round: its [hi, tail] rows fold exactly into a few rows of
         partials, and its bounds E_b add up to at most 2^ceil(log2 B) max_b
         E_b over the B blocks.  Columns this bound does not certify rerun the
@@ -364,36 +393,51 @@ class _GridSum:
 
                 blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
                 return np.concatenate(self._map_blocks(convolved, blocks, list))
-        rows = max(1, exact._BLOCK_BYTES // (16 * offsets))
+        # S, |S|^r and scratch take 32 bytes per sample; the point rows are
+        # a few percent more
+        rows = min(self.total, max(1, exact._BLOCK_BYTES // (32 * offsets)))
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
+        workers = min(self.threads, len(bounds))
+        # each worker takes a contiguous run of blocks through its own buffers
+        runs = [bounds[w * len(bounds) // workers:(w + 1) * len(bounds) // workers]
+                for w in range(workers)]
+        self._point_tables()  # before any worker starts
+
+        def fold(pieces) -> tuple[np.ndarray, np.ndarray]:
+            # the exact partials of several pieces' rows: a few rows
+            pieces = list(pieces)
+            return (extract_partials(np.concatenate([part for part, _ in pieces])),
+                    np.max([bound for _, bound in pieces], axis=0))
 
         def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
-            def run(lo_hi: tuple[int, int]):
-                terms = self._power_block(*lo_hi, r, offset_factors)
-                if one_round:
-                    return extract_once(terms)[:2]
-                return extract_partials(terms), np.zeros(offsets)
+            def run(job) -> tuple[np.ndarray, np.ndarray]:
+                blocks, buf = job
+                pieces = []
+                for lo, hi in blocks:
+                    terms = self._power_block(lo, hi, r, offset_factors, buf)
+                    if one_round:
+                        pieces.append(extract_once(terms, out=buf[3][:hi - lo])[:2])
+                    else:
+                        pieces.append((extract_partials(terms), np.zeros(offsets)))
+                    if len(pieces) == 8:  # holds a few rows per offset
+                        pieces = [fold(pieces)]
+                return fold(pieces)
 
-            def fold(acc, block):
-                # keeps a few rows of partials, however many blocks there are
-                return (extract_partials(np.concatenate([acc[0], block[0]])),
-                        np.maximum(acc[1], block[1]))
+            return self._map_blocks(run, list(zip(runs, buffers)), fold)
 
-            try:
-                return self._map_blocks(run, bounds, partial(reduce, fold))
-            except MemoryError:
-                # a block's complex samples, its |S|^r and its point rows
-                needed = rows * (24 * offsets + 16 * len(self.base))
-                raise BudgetExceededError(
-                    f"offset grid block of {rows} cells x {offsets} offsets needs "
-                    f"about {needed} bytes, more than the machine could allocate",
-                    requested=needed,
-                ) from None
-
-        partials, bound = reduced(one_round=True)
-        sums, ok = certified(partials, np.ldexp(bound, (len(bounds) - 1).bit_length()))
-        if not ok.all():
-            sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
+        try:
+            buffers = [self._block_buffers(rows, offsets) for _ in runs]
+            partials, bound = reduced(one_round=True)
+            sums, ok = certified(partials, np.ldexp(bound, (len(bounds) - 1).bit_length()))
+            if not ok.all():
+                sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
+        except MemoryError:
+            needed = workers * rows * (16 * len(self.base) + 32 * offsets)
+            raise BudgetExceededError(
+                f"offset grid blocks of {rows} cells x {offsets} offsets take "
+                f"{needed} bytes of buffers on {workers} workers, more than the "
+                "machine could allocate with the pass's other arrays",
+                requested=needed) from None
         return sums
 
     def _map_blocks(self, fn, blocks: list, combine):

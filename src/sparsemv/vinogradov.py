@@ -164,7 +164,8 @@ def count_solutions(
     W = sum_{t=1}^{s-1} min(|H|^t, C) |H| of the s - 1 convolution passes,
     C the size of the packed key space (:func:`exact.convolution_power`),
     plus _PASS_PAIRS per pass; W is read from the histogram before any pass
-    runs.
+    runs.  When the counts pass the int64 range, W is charged per 62-bit
+    word of their bound (:func:`exact.convolution_counts`).
     """
     if s < 1 or k < 1 or N < 1:
         raise InvalidInputError("s, k, N must be positive")

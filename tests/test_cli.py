@@ -279,6 +279,23 @@ def test_vinogradov_huge_s_exits_3_at_once_in_one_line(tmp_path, capsys, method,
     assert not (tmp_path / "vin.csv").exists()
 
 
+def test_vinogradov_wide_counts_charge_their_words(tmp_path, capsys):
+    # keys 0, 1, 2 at s = 3000: 53874813 pairs, within the default budget
+    # alone, but the counts (below 3^s < 2^6000) are Python ints of up to 97
+    # words of 62 bits, so W = 97 x the pairs and the command stops at once
+    start = time.perf_counter()
+    code, out, err = run(
+        ["vinogradov", "--minpoly", "0", "--s", "3000", "--k", "1", "--N", "3",
+         "--out", str(tmp_path / "vin.csv")],
+        capsys,
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert f"W = {97 * 53874813} " in err
+    assert err.count("\n") == 1
+
+
 def test_vinogradov_fit(tmp_path, capsys):
     out_file = tmp_path / "fit.csv"
     code, out, _ = run(

@@ -813,7 +813,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
     grid = _grid(PARABOLA, coeffs, domain.cell_counts)
     factors = _offset_factors(grid.phase_vals, offsets)
     V = len(offsets)
-    default_rows = exact._BLOCK_BYTES // (16 * V)
+    default_rows = exact._BLOCK_BYTES // (32 * V)
     assert default_rows >= grid.total  # the default is one block here
     columns_by_rows = {}
     for rows in (1, 7, default_rows):
@@ -827,7 +827,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
         assert terms.shape == (grid.total, V)
         expected_columns = [math.fsum(terms[:, j]) for j in range(V)]
         expected_total = math.fsum(w * c for w, c in zip(weights, expected_columns))
-        monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * V * rows)
+        monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * V * rows)
         for threads in (1, 2):
             grid = _grid(PARABOLA, coeffs, domain.cell_counts, threads=threads)
             per_offset = grid.per_offset_power_sum(4.0, factors)
@@ -836,6 +836,29 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
         columns_by_rows[rows] = np.array(expected_columns)
     for columns in columns_by_rows.values():
         np.testing.assert_allclose(columns, columns_by_rows[default_rows], rtol=1e-13)
+
+
+def test_offset_gemm_blocks_reuse_their_buffers(monkeypatch):
+    # Gauss p=5 K=2 sigma (0,1/2) at r = 3 with 1024 offsets in 25 row blocks:
+    # the point rows, S, |S|^r and scratch of 128 cells are allocated once,
+    # so the peak stays near them
+    scale = ScaleSpec(p=5, K=2)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(25, 1), seed=3)
+    domain = build_domain(scale, _sigma(0, Fraction(1, 2)), PARABOLA.degrees)
+    offsets, _ = tensor_offsets(domain.cell_halfwidths, (3, 3), 4)
+    grid = _grid(PARABOLA, coeffs, domain.cell_counts)
+    factors = _offset_factors(grid.phase_vals, offsets)
+    V, rows = len(offsets), 128
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * V * rows)
+    assert -(-grid.total // rows) >= 20
+    buffers = rows * (32 * V + 16 * len(grid.base))
+    tracemalloc.start()
+    try:
+        grid.per_offset_power_sum(3.0, factors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * buffers  # 1.15 measured; 3.1 with arrays per block
 
 
 def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
@@ -854,11 +877,11 @@ def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
         for lo in range(0, grid.total, rows)
     ])
     expected = [math.fsum(terms[:, j]) for j in range(V)]
-    monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * V * rows)
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * V * rows)
     original = meanvalue.extract_once
 
-    def inflated(x):
-        partials, bound, rest = original(x)
+    def inflated(x, out=None):
+        partials, bound, rest = original(x, out=out)
         bound[::2] = 2.0**600
         return partials, bound, rest
 
@@ -891,7 +914,7 @@ def test_offset_sums_near_and_past_the_float_range(monkeypatch, r, rows):
     factors = _offset_factors(grid.phase_vals, offsets)
     if rows is None:
         rows = grid.total
-    monkeypatch.setattr(exact, "_BLOCK_BYTES", 16 * len(offsets) * rows)
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * len(offsets) * rows)
     with np.errstate(over="ignore"):
         terms = np.concatenate([  # block by block, as the engine forms them
             grid._power_block(lo, min(lo + rows, grid.total), r, factors)
@@ -1072,6 +1095,31 @@ def test_offset_convolution_at_zero_offset_is_the_integer_count(case):
     assert engine.call_count == 1  # the convolution, not the GEMM
     count = convolution_counts(grid._residues, coeffs.amplitude, r // 2, grid.moduli)
     np.testing.assert_allclose(sums, [grid.total * count], rtol=1e-15, atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_zero_offset_case(), st.data())
+def test_offset_engines_agree_at_a_random_offset(case, data):
+    # one nonzero offset v: the GEMM, the offset convolution and the
+    # transform of the modulated coefficients a_n e(v . P(n)) sum the same
+    # |S|^r over Q, Q(i) and Q(2^(1/3)), at sigma 0 and localized
+    system, scale, sig, coeffs, r = case
+    k = len(system.components)
+    v = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=k, max_size=k)
+                           .filter(any)))
+    grid = _grid(system, coeffs, build_domain(scale, sig, system.degrees).cell_counts)
+    factors = _offset_factors(grid.phase_vals, v[None])
+    transform = meanvalue._transform_power_sum(
+        grid.moduli, grid._residues, coeffs.amplitude * factors[0], float(r))
+    with mock.patch.object(meanvalue, "convolution_power",
+                           wraps=meanvalue.convolution_power) as engine:
+        convolved = grid.per_offset_power_sum(float(r), factors)[0]
+        assert engine.call_count == 1
+        # a work bound past T/4 sends the same column to the GEMM
+        with mock.patch.object(meanvalue, "_convolution_work", return_value=grid.total):
+            direct = grid.per_offset_power_sum(float(r), factors)[0]
+        assert engine.call_count == 1
+    np.testing.assert_allclose([convolved, direct], transform, rtol=1e-12, atol=0)
 
 
 def test_even_offset_sums_take_the_convolution_only_below_a_quarter_grid(monkeypatch):

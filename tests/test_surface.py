@@ -5,7 +5,8 @@ outside its own ``def`` or ``class``, in a library module other than
 ``__init__.py``, a demo or the benchmark harness.  Imports, docstrings,
 comments and tests do not count, so a function that only tests call fails.
 ``__init__.py`` (re-exports) and ``cli.py`` (command functions reached through
-click's decorators) define nothing checked here.
+click's decorators) define nothing checked here.  Every name in the package's
+``__all__`` is imported by a demo, the benchmark harness or a test.
 """
 
 from __future__ import annotations
@@ -57,3 +58,19 @@ def test_every_public_definition_is_used():
     unused = [f"{path.stem}.{node.name}" for path, node in definitions
               if uses[node.name] == _name_uses(node)[node.name]]
     assert unused == []
+
+
+def test_every_exported_name_is_imported():
+    imported = set()
+    for folder in ("demos", "perfbench", "tests"):
+        for tree in _trees(sorted((ROOT / folder).glob("*.py"))).values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(
+                        ".")[0] == "sparsemv":
+                    imported.update(alias.name for alias in node.names)
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["__all__"])
+    assert len(exported) > 20  # the walk found __all__
+    assert sorted(set(exported) - imported) == []

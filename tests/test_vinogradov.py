@@ -176,9 +176,11 @@ def test_budgets_bound_the_work_of_a_huge_s():
     with pytest.raises(BudgetExceededError):
         count_solutions(LINE, 10**4, 1, 3)
     # the refusal states W plus the pass costs: keys 0, 1, 2 (|H| = 3) with
-    # packed radix 2s + 1, so W = sum_t min(3^t, 2s + 1) 3 over 9999 passes
+    # packed radix 2s + 1 give sum_t min(3^t, 2s + 1) 3 pairs over 9999
+    # passes, and the counts, below 3^s < 2^(2s), are Python ints of at most
+    # ceil(2s / 62) = 323 words, which W charges per pair
     s = 10**4
-    work = sum(min(3**t, 2 * s + 1) * 3 for t in range(1, s))
+    work = 323 * sum(min(3**t, 2 * s + 1) * 3 for t in range(1, s))
     with pytest.raises(BudgetExceededError) as refusal:
         count_solutions(LINE, s, 1, 3)
     requested = work + (s - 1) * vinogradov._PASS_PAIRS
@@ -190,6 +192,18 @@ def test_budgets_bound_the_work_of_a_huge_s():
     with pytest.raises(BudgetExceededError):
         count_solutions_brute(LINE, 10**4, 1, 3)
     assert count_solutions_brute(LINE, 1000, 1, 1).J == 1
+
+
+def test_int64_counts_charge_the_pairs_alone():
+    # keys (n, n^2), n < 40, are 40 distinct keys: W = 40^2 + 40^3 pairs over
+    # the two passes of s = 3, plus _PASS_PAIRS per pass; the counts stay in
+    # int64, so no word width is charged
+    work = 40**2 + 40**3 + 2 * vinogradov._PASS_PAIRS
+    with pytest.raises(BudgetExceededError) as refusal:
+        count_solutions(LINE, 3, 2, 40, budget=work - 1)
+    assert refusal.value.requested == work
+    assert count_solutions(LINE, 3, 2, 40, budget=work).J == \
+        count_solutions(LINE, 3, 2, 40).J
 
 
 def test_fit_growth_s1_slope_is_d():
