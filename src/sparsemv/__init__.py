@@ -34,7 +34,6 @@ from .exact import tree_sum
 from .meanvalue import (
     CoefficientVector,
     IndexDomain,
-    corollary_ratio_experiment,
     estimate_restriction_constant,
     padic_short_mv,
     real_sparse_mv,
@@ -72,7 +71,6 @@ __all__ = [
     "QuadratureConfig",
     "ScaleSpec",
     "build_domain",
-    "corollary_ratio_experiment",
     "count_solutions",
     "count_solutions_brute",
     "emit_cell_csv",

@@ -24,7 +24,6 @@ from .meanvalue import (
     SAMPLER_NAMES,
     CoefficientVector,
     IndexDomain,
-    corollary_ratio_experiment,
     epsilon_factors,
     estimate_restriction_constant,
     padic_short_mv,
@@ -35,6 +34,7 @@ from .meanvalue import (
 from .numberfield import (
     MinimalPolynomial,
     expand_trace_phase,
+    parabola_system,
     phase_system_rows,
     trace_powers,
 )
@@ -288,13 +288,15 @@ def _mv_common_options(fn):
     return fn
 
 
-def _coefficient_options(fn):
-    """The one coefficient vector of mv-padic, mv-real and transfer-check."""
-    fn = click.option("--sampler", default="all-ones", show_default=True,
-                      type=click.Choice(SAMPLER_NAMES))(fn)
-    fn = click.option("--coeffs-file", type=click.Path(exists=True), default=None,
-                      help="coefficient CSV (index-dash-joined, real, imag)")(fn)
-    return fn
+def _coefficient_options(default_sampler: str):
+    """The coefficient vectors of mv-padic, mv-real and transfer-check."""
+    def add(fn):
+        fn = click.option("--sampler", default=default_sampler, show_default=True,
+                          type=click.Choice(SAMPLER_NAMES))(fn)
+        fn = click.option("--coeffs-file", type=click.Path(exists=True), default=None,
+                          help="coefficient CSV (index-dash-joined, real, imag)")(fn)
+        return fn
+    return add
 
 
 def _ratio(value: float, denom: float) -> float:
@@ -302,24 +304,30 @@ def _ratio(value: float, denom: float) -> float:
     return value / denom if denom else math.inf
 
 
+def _mv_row(command, scale, sigma_text, r, sampler, seed, value, denominator,
+            error_bound) -> list:
+    """The MV_HEADER fields of one mean value."""
+    return [command, scale.p, scale.K, sigma_text, r, sampler, seed, value,
+            denominator, _ratio(value, denominator), error_bound]
+
+
 def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, coeffs_file,
-                 report, coeffs, extra_config=None):
-    denom = coeffs.ell_r(r)
-    ratio = _ratio(report.value, denom)
+                 report, coeffs, extra_config=None) -> float:
+    """Write the one-row CSV of mv-padic or mv-real; returns its ratio."""
     sigma_text = ",".join(str(s) for s in sigma.sigma)
     sampler, seed, source = _coefficient_source(sampler, seed, coeffs_file)
-    row = [command, scale.p, scale.K, sigma_text, r, sampler, seed,
-           report.value, denom, ratio, report.quadrature_error_bound]
+    row = _mv_row(command, scale, sigma_text, r, sampler, seed, report.value,
+                  coeffs.ell_r(r), report.quadrature_error_bound)
     config = {"command": command, "p": scale.p, "K": scale.K,
               "sigma": sigma_text, "r": r, **source}
     config.update(extra_config or {})
     csvio.write_csv(path, MV_HEADER, [row], config)
-    return denom, ratio
+    return row[MV_HEADER.index("ratio")]
 
 
 @cli.command(name="mv-padic")
 @_mv_common_options
-@_coefficient_options
+@_coefficient_options("all-ones")
 @common_options
 def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
              out, threads):
@@ -330,8 +338,8 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
     report, = padic_short_mv(system, [coeffs], r, scale, sig,
                              budget=budget, threads=threads)
     path = _out_path(out, "mv-padic")
-    denom, ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
-                                coeffs_file, report, coeffs)
+    ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
+                         coeffs_file, report, coeffs)
     _echo(
         f"mv-padic: value={report.value!r} ratio={ratio!r} "
         f"method={report.method} -> {path}"
@@ -340,7 +348,7 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
 
 @cli.command(name="mv-real")
 @_mv_common_options
-@_coefficient_options
+@_coefficient_options("all-ones")
 @click.option("--quad-order", type=int, default=4, show_default=True)
 @click.option("--quad-depth", type=int, default=None,
               help="uniform dyadic depth; default = quarter-period rule")
@@ -355,8 +363,8 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
                              budget=budget, threads=threads)
     path = _out_path(out, "mv-real")
     extra = {"quad_order": quad_order, "quad_depth": quad_depth}
-    denom, ratio = _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed,
-                                coeffs_file, report, coeffs, extra_config=extra)
+    _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed, coeffs_file,
+                 report, coeffs, extra_config=extra)
     _echo(
         f"mv-real: value={report.value!r} err<={report.quadrature_error_bound!r} "
         f"method={report.method} -> {path}"
@@ -365,7 +373,7 @@ def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
 
 @cli.command(name="transfer-check")
 @_mv_common_options
-@_coefficient_options
+@_coefficient_options("random-phase")
 @click.option("--vectors", type=int, default=50, show_default=True,
               help="number of sampled coefficient vectors")
 @click.option("--tol", type=float, default=1e-6, show_default=True)
@@ -378,8 +386,6 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
     if vectors < 1:
         raise InvalidInputError(f"--vectors must be >= 1, got {vectors}")
     _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
-    if sampler == "all-ones":
-        sampler = "random-phase"  # the check is vacuous with one fixed vector
     row_sampler, row_seed, source = _coefficient_source(sampler, seed, coeffs_file)
     quad = QuadratureConfig(order=quad_order, depth=quad_depth)
     rows = []
@@ -391,13 +397,10 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
     reports = transfer_check(system, coeff_list, r, scale, sig, quad=quad, tol=tol,
                              budget=budget, threads=threads)
     for draw, (coeffs, rep) in enumerate(zip(coeff_list, reports)):
-        denom = coeffs.ell_r(r)
-        rows.append([
-            "transfer-check", scale.p, scale.K, sigma_text, r, row_sampler, row_seed,
-            rep.real_value, denom, _ratio(rep.real_value, denom),
-            rep.quadrature_error_bound, draw, rep.padic_sup_over_grid,
-            int(rep.passed), rep.grid_size,
-        ])
+        rows.append(_mv_row(
+            "transfer-check", scale, sigma_text, r, row_sampler, row_seed,
+            rep.real_value, coeffs.ell_r(r), rep.quadrature_error_bound,
+        ) + [draw, rep.padic_sup_over_grid, int(rep.passed), rep.grid_size])
         failures += 0 if rep.passed else 1
     path = _out_path(out, "transfer-check")
     csvio.write_csv(
@@ -438,12 +441,9 @@ def restriction_estimate(minpoly, k, p, K, sigma, r, seed, budget, side, sampler
             budget=budget, threads=threads,
         )
         estimates[this_side] = est
-        for row in est.rows:
-            rows.append([
-                f"restriction-estimate-{this_side}", scale.p, scale.K, sigma_text,
-                r, row.sampler, row.seed, row.value, row.denominator, row.ratio,
-                row.error_bound, row.draw,
-            ])
+        rows += [_mv_row(f"restriction-estimate-{this_side}", scale, sigma_text, r,
+                         row.sampler, row.seed, row.value, row.denominator,
+                         row.error_bound) + [row.draw] for row in est.rows]
     eps = epsilon_factors(system, domain, scale)
     config = {
         "command": "restriction-estimate", "p": p, "K": K, "sigma": sigma_text,
@@ -479,22 +479,28 @@ def restriction_estimate(minpoly, k, p, K, sigma, r, seed, budget, side, sampler
 @click.option("--budget", type=int, default=10**8, show_default=True)
 @common_options
 def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
-    """Parabola sparse mean-value ratios against the small-cap envelope."""
+    """Parabola sparse mean-value ratios against the small-cap envelope
+    N^(r/2) + N^(r-4+sigma): the p-adic side of restriction-estimate with one
+    draw per sampler, for each K."""
     K_values = parse_int_list(K_list)
     sigma_value = parse_rational_list(sigma)[0]
     if sigma_value < 0 or sigma_value > 1:
         raise InvalidInputError("sigma must lie in [0, 1]")
     sampler_list = _parse_samplers(samplers)
-    rows_data = corollary_ratio_experiment(
-        p, K_values, sigma_value, r, samplers=sampler_list, seed=seed,
-        budget=budget, threads=threads,
-    )
-    rows = [
-        ["corollary-ratio", row["p"], row["K"], row["sigma"], row["r"],
-         row["sampler"], row["seed"], row["value"], row["denominator"],
-         row["ratio"], 0.0, row["N"], row["envelope"], row["ratio_over_envelope"]]
-        for row in rows_data
-    ]
+    system = parabola_system()
+    rows = []
+    for K in K_values:
+        scale = ScaleSpec(p=p, K=K)
+        N = scale.N
+        est = estimate_restriction_constant(
+            system, IndexDomain.box(N, 1), r, scale,
+            LocalizationVector((Fraction(0), sigma_value)), samplers=sampler_list,
+            draws=1, seed=seed, budget=budget, threads=threads,
+        )
+        envelope = N ** (r / 2.0) + N ** (r - 4.0 + float(sigma_value))
+        rows += [_mv_row("corollary-ratio", scale, str(sigma_value), r, row.sampler,
+                         row.seed, row.value, row.denominator, row.error_bound)
+                 + [N, envelope, row.ratio / envelope] for row in est.rows]
     path = _out_path(out, "corollary-ratio")
     csvio.write_csv(path, MV_HEADER + ["N", "envelope", "ratio_over_envelope"], rows,
                     {"command": "corollary-ratio", "p": p,

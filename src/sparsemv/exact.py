@@ -291,7 +291,7 @@ def _power_into(abs_squared: np.ndarray, r: float, out: np.ndarray,
         return np.exp(out, out=out)
 
 
-def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool] | None:
+def _integer_parts(weights, s: int) -> tuple[list[np.ndarray], bool, int] | None:
     """The real and (when nonzero) imaginary parts of Gaussian-integer weights,
     or None when some weight is not a (finite) Gaussian integer.
 

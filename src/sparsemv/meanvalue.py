@@ -282,7 +282,6 @@ class _GridSum:
             for vals, m in zip(phase_vals, self.moduli)
         )
         self._roots = tuple(root_table(m) for m in self.moduli)
-        self._tables = []  # see _point_tables
         self.base = None
 
     def view(self, coeffs: CoefficientVector) -> "_GridSum":
@@ -294,14 +293,11 @@ class _GridSum:
     def _point_tables(self) -> list[np.ndarray]:
         """U_j[i, n] = e(i P_j(n) / M_j) for every axis j and i < M_j.
 
-        Only the GEMM path reads them, so its first call builds them, before
-        any worker starts, into a list that every view shares.
+        Only the GEMM path reads them; each of its calls builds them once,
+        sum_j M_j x points entries against its T x V x points products.
         """
-        if not self._tables:
-            self._tables.extend(
-                roots[np.multiply.outer(np.arange(len(roots)), res) % len(roots)]
-                for res, roots in zip(self._residues, self._roots))
-        return self._tables
+        return [roots[np.multiply.outer(np.arange(len(roots)), res) % len(roots)]
+                for res, roots in zip(self._residues, self._roots)]
 
     def _block_buffers(self, rows: int, offsets: int) -> tuple[np.ndarray, ...]:
         """Work space for row blocks of up to ``rows`` cells, in one
@@ -316,19 +312,20 @@ class _GridSum:
         return E, S, power, scratch
 
     def _power_block(self, lo: int, hi: int, r: float, offset_factors: np.ndarray,
-                     buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                     buffers: tuple[np.ndarray, ...],
+                     tables: list[np.ndarray]) -> np.ndarray:
         """|S(iota, v)|^r for iota in [lo, hi) and every offset v: one GEMM.
 
-        It runs in the first hi - lo rows of :meth:`_block_buffers` (new ones
-        when None) and returns them as the power block.  E[iota, n] =
-        a_n prod_j U_j[iota_j, n] takes its factors in axis order.
+        It runs in the first hi - lo rows of :meth:`_block_buffers` and
+        returns them as the power block.  E[iota, n] = a_n prod_j
+        U_j[iota_j, n], U_j the :meth:`_point_tables`, takes its factors in
+        axis order.
         """
         n = hi - lo
-        E, S, power, scratch = (buf[:n] for buf in
-                                buffers or self._block_buffers(n, len(offset_factors)))
+        E, S, power, scratch = (buf[:n] for buf in buffers)
         E[:] = self.base
         cols = np.unravel_index(np.arange(lo, hi), self.moduli)
-        for col, table in zip(cols, self._point_tables()):
+        for col, table in zip(cols, tables):
             E *= table[col]
         np.matmul(E, offset_factors.T, out=S)
         parts = S.view(np.float64)  # re, im interleaved
@@ -401,7 +398,7 @@ class _GridSum:
         # each worker takes a contiguous run of blocks through its own buffers
         runs = [bounds[w * len(bounds) // workers:(w + 1) * len(bounds) // workers]
                 for w in range(workers)]
-        self._point_tables()  # before any worker starts
+        tables = self._point_tables()
 
         def fold(pieces) -> tuple[np.ndarray, np.ndarray]:
             # the exact partials of several pieces' rows: a few rows
@@ -414,7 +411,7 @@ class _GridSum:
                 blocks, buf = job
                 pieces = []
                 for lo, hi in blocks:
-                    terms = self._power_block(lo, hi, r, offset_factors, buf)
+                    terms = self._power_block(lo, hi, r, offset_factors, buf, tables)
                     if one_round:
                         pieces.append(extract_once(terms, out=buf[3][:hi - lo])[:2])
                     else:
@@ -732,7 +729,6 @@ def estimate_restriction_constant(
     samplers: Sequence[str] = SAMPLER_NAMES,
     draws: int = 4,
     seed: int = 0,
-    quad: QuadratureConfig | None = None,
     *,
     budget: int = DEFAULT_CELL_BUDGET,
     threads: int = 1,
@@ -740,7 +736,8 @@ def estimate_restriction_constant(
     """Max of value(a) / sum |a_n|^r over sampled coefficient vectors.
 
     Every ratio is a certified lower bound for the optimal constant on the
-    chosen side; the report records which sampler attained the maximum.
+    chosen side; the report records which sampler attained the maximum.  The
+    real side runs with the default QuadratureConfig().
     """
     if side not in ("padic", "real"):
         raise InvalidInputError("side must be 'padic' or 'real'")
@@ -756,7 +753,7 @@ def estimate_restriction_constant(
         reports = padic_short_mv(system, vectors, r, scale, sigma,
                                  budget=budget, threads=threads)
     else:
-        reports = real_sparse_mv(system, vectors, r, scale, sigma, quad,
+        reports = real_sparse_mv(system, vectors, r, scale, sigma,
                                  budget=budget, threads=threads)
     rows = []
     best = (-math.inf, "", -1)
@@ -770,56 +767,3 @@ def estimate_restriction_constant(
     return RestrictionEstimate(
         value=best[0], best_sampler=best[1], best_draw=best[2], rows=tuple(rows)
     )
-
-
-def corollary_ratio_experiment(
-    p: int,
-    K_values: Sequence[int],
-    sigma2: Fraction,
-    r: float,
-    samplers: Sequence[str] = SAMPLER_NAMES,
-    seed: int = 0,
-    *,
-    budget: int = DEFAULT_CELL_BUDGET,
-    threads: int = 1,
-) -> list[dict]:
-    """Tabulate parabola sparse mean-value ratios against N^(r/2) + N^(r-4+sigma).
-
-    Report-only: no constant is asserted, the envelope column just records the
-    polynomial shape the ratios are to be compared with.
-    """
-    from .numberfield import parabola_system
-
-    system = parabola_system()
-    rows = []
-    for K in K_values:
-        scale = ScaleSpec(p=p, K=K)
-        if (Fraction(sigma2) * K).denominator != 1:
-            raise InvalidInputError(f"sigma*K = {Fraction(sigma2) * K} not integral")
-        sigma = LocalizationVector((Fraction(0), Fraction(sigma2)))
-        N = scale.N
-        domain = IndexDomain.box(N, 1)
-        envelope = N ** (r / 2.0) + N ** (r - 4.0 + float(sigma2))
-        vectors = [sample_coefficients(sampler, domain, seed, 0) for sampler in samplers]
-        reports = padic_short_mv(system, vectors, r, scale, sigma,
-                                 budget=budget, threads=threads)
-        for sampler, coeffs, report in zip(samplers, vectors, reports):
-            denom = coeffs.ell_r(r)
-            ratio = report.value / denom
-            rows.append(
-                {
-                    "p": p,
-                    "K": K,
-                    "N": N,
-                    "sigma": str(Fraction(sigma2)),
-                    "r": r,
-                    "sampler": sampler,
-                    "seed": seed,
-                    "value": report.value,
-                    "denominator": denom,
-                    "ratio": ratio,
-                    "envelope": envelope,
-                    "ratio_over_envelope": ratio / envelope,
-                }
-            )
-    return rows

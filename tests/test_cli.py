@@ -381,6 +381,23 @@ def test_coeffs_file_provenance(tmp_path, capsys, command, extra):
     assert rows[0][5:7] == ["file", ""]
 
 
+def test_transfer_check_default_and_explicit_sampler(tmp_path, capsys):
+    code, out, _ = run(["transfer-check", "--help"], capsys)
+    assert code == 0 and "[default: random-phase]" in out
+    assert "[default: all-ones]" not in out
+    out_file = tmp_path / "tc.csv"
+    code, _, err = run(
+        ["transfer-check", "--p", "3", "--K", "1", "--sigma", "0,1", "--r", "4",
+         "--sampler", "all-ones", "--vectors", "2", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 0, err
+    rows = read_rows(out_file)[1:]
+    assert [row[5] for row in rows] == ["all-ones", "all-ones"]
+    assert rows[0][7:11] == rows[1][7:11]  # one fixed vector, drawn twice
+    assert float(rows[0][8]) == 3.0  # sum |a_n|^4 over N = 3 ones
+
+
 def test_mv_real_matches_padic_small(tmp_path, capsys):
     out_file = tmp_path / "real.csv"
     code, out, _ = run(
@@ -507,9 +524,62 @@ def test_corollary_ratio(tmp_path, capsys):
     )
     assert code == 0
     rows = read_rows(out_file)
-    assert len(rows) == 1 + 4
+    assert len(rows) == 1 + 4  # one row per (K, sampler)
+    assert rows[0][11:] == ["N", "envelope", "ratio_over_envelope"]
     single_rows = [row for row in rows[1:] if row[5] == "single-point"]
+    assert len(single_rows) == 2
     assert all(float(row[9]) == pytest.approx(1.0, rel=1e-9) for row in single_rows)
+    for row in rows[1:]:
+        N = int(row[11])
+        assert N == 3 ** int(row[2])
+        # N^(r/2) + N^(r - 4 + sigma) at r = 4, sigma = 1
+        assert float(row[12]) == pytest.approx(N**2.0 + N**1.0)
+        assert float(row[13]) == float(row[9]) / float(row[12])
+
+
+def test_corollary_ratio_rejects_non_integral_sigma_K(tmp_path, capsys):
+    out_file = tmp_path / "cr.csv"
+    code, out, err = run(
+        ["corollary-ratio", "--p", "3", "--K-list", "1", "--sigma", "1/2",
+         "--r", "4", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid input:") and "K = 1/2" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("sigma, sigma_vector", [("1", "0,1"), ("0", "0,0")])
+def test_corollary_ratio_rows_match_restriction_estimate(tmp_path, capsys, sigma,
+                                                         sigma_vector):
+    # corollary-ratio is the p-adic side of restriction-estimate with one draw
+    # per sampler: sampler, seed, value, denominator, ratio and error bound
+    # agree for every K
+    corollary = tmp_path / "cr.csv"
+    code, _, err = run(
+        ["corollary-ratio", "--p", "3", "--K-list", "1,2", "--sigma", sigma,
+         "--r", "4", "--seed", "5", "--out", str(corollary)],
+        capsys,
+    )
+    assert code == 0, err
+    corollary_rows = read_rows(corollary)[1:]
+    restriction_rows = []
+    for K in (1, 2):
+        out_file = tmp_path / f"re{K}.csv"
+        code, _, err = run(
+            ["restriction-estimate", "--p", "3", "--K", str(K), "--sigma", sigma_vector,
+             "--r", "4", "--draws", "1", "--seed", "5", "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 0, err
+        restriction_rows += read_rows(out_file)[1:]
+    assert len(corollary_rows) == len(restriction_rows) == 2 * len(SAMPLER_NAMES)
+    for got, want in zip(corollary_rows, restriction_rows):
+        assert got[1:3] == want[1:3]  # p, K
+        assert got[5:11] == want[5:11]
+    # transforms carry a rounding bound, not 0
+    assert any(float(row[10]) > 0 for row in corollary_rows)
 
 
 def test_counterexample_command(tmp_path, capsys):

@@ -22,7 +22,6 @@ from sparsemv.meanvalue import (
     SAMPLER_NAMES,
     CoefficientVector,
     IndexDomain,
-    corollary_ratio_experiment,
     epsilon_factors,
     estimate_restriction_constant,
     padic_short_mv,
@@ -62,6 +61,18 @@ def _grid(system, coeffs, moduli, threads=1):
     the vector's coefficients."""
     phases = meanvalue._phase_values(system, coeffs.domain)
     return _GridSum(phases, moduli, threads).view(coeffs)
+
+
+def _gemm_terms(grid, r, factors, rows):
+    """|S(iota, v)|^r of every cell, block by block as the GEMM path forms
+    them from row blocks of ``rows`` cells, each in buffers of its own."""
+    tables = grid._point_tables()
+    blocks = []
+    for lo in range(0, grid.total, rows):
+        hi = min(lo + rows, grid.total)
+        buffers = grid._block_buffers(hi - lo, len(factors))
+        blocks.append(grid._power_block(lo, hi, r, factors, buffers, tables))
+    return np.concatenate(blocks)
 
 
 # --- oracles ----------------------------------------------------------------
@@ -750,37 +761,6 @@ def test_epsilon_factors_bounds():
     assert eps[0] == 1.0
 
 
-# --- corollary ratio experiment ---------------------------------------------------
-
-def test_corollary_ratio_rows():
-    rows = corollary_ratio_experiment(3, (1, 2), Fraction(1), 4.0,
-                                      samplers=("single-point", "all-ones"))
-    assert len(rows) == 4  # one row per (N, sampler)
-    for row in rows:
-        if row["sampler"] == "single-point":
-            assert row["ratio"] == pytest.approx(1.0, rel=1e-9)
-        assert row["envelope"] == pytest.approx(
-            row["N"] ** 2.0 + row["N"] ** (4.0 - 4.0 + 1.0)
-        )
-
-
-def test_corollary_ratio_rejects_non_integral_sigma_K():
-    with pytest.raises(InvalidInputError):
-        corollary_ratio_experiment(3, (1,), Fraction(1, 2), 4.0)
-
-
-def test_corollary_ratio_all_ones_matches_restriction_estimate():
-    # same computation through both surfaces at sigma = 0
-    rows = corollary_ratio_experiment(3, (2,), Fraction(0), 4.0,
-                                      samplers=("all-ones",))
-    scale = ScaleSpec(p=3, K=2)
-    est = estimate_restriction_constant(
-        PARABOLA, IndexDomain.box(9, 1), 4.0, scale, _sigma(0, 0),
-        side="padic", samplers=("all-ones",),
-    )
-    assert rows[0]["ratio"] == pytest.approx(est.value, rel=1e-12)
-
-
 # --- misc --------------------------------------------------------------------------
 
 def test_index_domain_validation():
@@ -820,10 +800,7 @@ def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
         # oracle: math.fsum over the terms of the same row blocks.  BLAS may
         # round a one-row product differently from a many-row one, so the
         # terms are taken block by block from the engine's own block function
-        terms = np.concatenate([
-            grid._power_block(lo, min(lo + rows, grid.total), 4.0, factors)
-            for lo in range(0, grid.total, rows)
-        ])
+        terms = _gemm_terms(grid, 4.0, factors, rows)
         assert terms.shape == (grid.total, V)
         expected_columns = [math.fsum(terms[:, j]) for j in range(V)]
         expected_total = math.fsum(w * c for w, c in zip(weights, expected_columns))
@@ -861,6 +838,23 @@ def test_offset_gemm_blocks_reuse_their_buffers(monkeypatch):
     assert peak < 1.25 * buffers  # 1.15 measured; 3.1 with arrays per block
 
 
+def test_point_tables_are_built_once_per_gemm_call():
+    # the Gauss levels of r = 3 take the GEMM path: one set of point tables
+    # per per-offset call; the transform and the count build none
+    scale = ScaleSpec(p=3, K=2)
+    domain = IndexDomain.box(9, 1)
+    vectors = [sample_coefficients(name, domain, 37) for name in SAMPLER_NAMES]
+    with mock.patch.object(_GridSum, "_point_tables", autospec=True,
+                           side_effect=_GridSum._point_tables) as tables, \
+         mock.patch.object(_GridSum, "per_offset_power_sum", autospec=True,
+                           side_effect=_GridSum.per_offset_power_sum) as passes:
+        transfer_check(PARABOLA, vectors, 3.0, scale, _sigma(0, 1))
+        assert tables.call_count == passes.call_count == 2 * len(vectors)
+        padic_short_mv(PARABOLA, vectors, 3.0, scale, _sigma(0, 1))
+        padic_short_mv(PARABOLA, vectors, 4.0, scale, _sigma(0, 1))
+        assert tables.call_count == 2 * len(vectors)
+
+
 def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
     # the one-round bound is inflated for every other offset, so those
     # columns fail their certificate and the blocks run again in full
@@ -872,10 +866,7 @@ def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
     factors = _offset_factors(grid.phase_vals, offsets)
     V = len(offsets)
     rows = 7
-    terms = np.concatenate([
-        grid._power_block(lo, min(lo + rows, grid.total), 4.0, factors)
-        for lo in range(0, grid.total, rows)
-    ])
+    terms = _gemm_terms(grid, 4.0, factors, rows)
     expected = [math.fsum(terms[:, j]) for j in range(V)]
     monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * V * rows)
     original = meanvalue.extract_once
@@ -916,10 +907,7 @@ def test_offset_sums_near_and_past_the_float_range(monkeypatch, r, rows):
         rows = grid.total
     monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * len(offsets) * rows)
     with np.errstate(over="ignore"):
-        terms = np.concatenate([  # block by block, as the engine forms them
-            grid._power_block(lo, min(lo + rows, grid.total), r, factors)
-            for lo in range(0, grid.total, rows)
-        ])
+        terms = _gemm_terms(grid, r, factors, rows)
         sums = grid.per_offset_power_sum(r, factors)
     assert (terms >= 2.0**1000).any()
     for got, col in zip(sums.tolist(), terms.T.tolist()):
