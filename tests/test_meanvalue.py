@@ -741,6 +741,24 @@ def test_restriction_all_ones_padic_side_congruence_ratio():
     assert est.value == pytest.approx(161.0 / 9.0, rel=1e-9)
 
 
+def test_corollary_ratio_rows():
+    # the rows corollary-ratio is built from: the p-adic parabola estimate at
+    # sigma (0, 1), one draw per sampler, for each K
+    rows = []
+    for K in (1, 2):
+        scale = ScaleSpec(p=3, K=K)
+        est = estimate_restriction_constant(
+            PARABOLA, IndexDomain.box(scale.N, 1), 4.0, scale, _sigma(0, 1),
+            side="padic", samplers=("single-point", "all-ones"), draws=1,
+        )
+        rows += est.rows
+    assert len(rows) == 4  # one row per (N, sampler)
+    assert [row.sampler for row in rows] == ["single-point", "all-ones"] * 2
+    for row in rows:
+        if row.sampler == "single-point":
+            assert row.ratio == pytest.approx(1.0, rel=1e-9)
+
+
 @pytest.mark.parametrize("samplers, draws", [((), 4), (("random-phase",), 0)])
 def test_restriction_rejects_no_sampler_or_no_draw(samplers, draws):
     with pytest.raises(InvalidInputError):
