@@ -483,7 +483,10 @@ def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
     N^(r/2) + N^(r-4+sigma): the p-adic side of restriction-estimate with one
     draw per sampler, for each K."""
     K_values = parse_int_list(K_list)
-    sigma_value = parse_rational_list(sigma)[0]
+    sigma_values = parse_rational_list(sigma)
+    if len(sigma_values) != 1:
+        raise InvalidInputError(f"--sigma takes one rational, got {len(sigma_values)}")
+    sigma_value, = sigma_values
     if sigma_value < 0 or sigma_value > 1:
         raise InvalidInputError("sigma must lie in [0, 1]")
     sampler_list = _parse_samplers(samplers)

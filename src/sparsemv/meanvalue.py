@@ -11,13 +11,16 @@ inequality.  The residues P_j(n) mod M_j are reduced exactly with Python
 integers and the coefficients scattered into the phase histogram
 H[h] = sum {a_n : P(n) = h mod M}; one unnormalised inverse FFT of H gives the
 inner sum at every cell, so floating point enters only in the transform and
-in the final reduction.  For r = 2s and Gaussian-integer coefficients the
-value is the integer sum_h |G(h)|^2, G = H^{*s} cyclic on prod Z/M_j
-(Parseval; the prefactor is 1/T), which is counted exactly with no floating
-point when that takes less work than the transform touches cells
-(``padic-count``, see :func:`_even_count`); otherwise the value is the
-transform's (``padic-exact``), reported with a rounding estimate as its error
-bound.
+in the final reduction.  For r = 2s the value is sum_h |G(h)|^2, G = H^{*s}
+cyclic on prod Z/M_j (Parseval; the prefactor is 1/T), and three methods
+compute it, the first that applies: for Gaussian-integer coefficients the
+integer is counted exactly with no floating point when that takes less work
+than the transform touches cells (``padic-count``, see :func:`_even_count`);
+for any other coefficients the same convolution engine forms G in floating
+point when its work and fixed cost come to less than the transform's
+(``padic-convolution``, see :func:`_offset_free_reports`), with a rounding
+bound derived for it; otherwise the value is the transform's
+(``padic-exact``), reported with a rounding estimate as its error bound.
 
 Sums with quadrature offsets v (below) are taken per offset, S(iota, v)
 being the grid sum of the modulated coefficients a_n e(v . P(n)).  For
@@ -40,9 +43,10 @@ tensor-Gauss quadrature with dyadic subdivision, or, at canonical scale with
 an even integer exponent, exactly: the integrand is then a trigonometric
 polynomial whose per-axis frequencies are bounded by F_j = (r/2) * (max P_j -
 min P_j), so averaging over any grid finer than F_j is the exact integral.
-On that grid the same count applies (``real-count``): its moduli
-L_j = F_j + 1 exceed the support of G per axis, so the cyclic count is the
-acyclic one, sum_h |G(h)|^2 over Z^k.
+On that grid the same three methods apply (``real-count``,
+``real-convolution``, ``real-exact``): its moduli L_j = F_j + 1 exceed the
+support of G per axis, so the cyclic convolution is the acyclic one and the
+value is sum_h |G(h)|^2 over Z^k.
 
 Because the Gauss weights are positive and the real value is a weighted
 average over node offsets v of p-adic values of the modulated coefficients,
@@ -58,7 +62,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,6 +100,10 @@ from .quadrature import (
 )
 
 SAMPLER_NAMES = ("all-ones", "single-point", "random-phase", "random-sparse")
+
+#: The convolution engine's cost per call, in pairs of its work W, that an
+#: offset-free value pays against the transform (see _offset_free_reports).
+_CONVOLUTION_FIXED = 1024
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,8 @@ class MeanValueReport:
 
     ``value`` includes the N^(sum sigma_j) prefactor of the defining
     inequality.  Integer counts ("padic-count", "real-count") report a zero
-    error bound, transforms ("padic-exact", "real-exact") a rounding
+    error bound, convolutions ("padic-convolution", "real-convolution") a
+    rounding bound, transforms ("padic-exact", "real-exact") a rounding
     estimate and Gauss cells ("real-gauss") the gap between two levels.
     """
 
@@ -338,10 +347,10 @@ class _GridSum:
 
         For r = 2s the sum is T sum_h |G_v(h)|^2 by Parseval, G_v = H_v^{*s}
         cyclic on prod Z/M_j for the histogram H_v of a_n e(v . P(n)), which
-        exact.convolution_power forms for a block of offsets, one complex
-        column each.  It runs when its work W = sum_{t=1}^{s-1} min(|H|^t,
-        T) |H| (as in :func:`_even_count`) is at most T/4 and one offset
-        column of it fits exact._BLOCK_BYTES.  Timed against the
+        :meth:`convolved_power_sums` forms for a block of offsets, one
+        complex column each.  It runs when :meth:`_convolution_plan` admits
+        it with no fixed cost: its work W = sum_{t=1}^{s-1} min(|H|^t, T)
+        |H| is at most T/4 and one offset column fits.  Timed against the
         direct path on 204 grids (the four systems of the test suite, T from
         1 to 4096, r = 4, 6, 8, random-phase and random-sparse coefficients,
         each domain's fine Gauss node set of V = 512 to 65536 offsets; one
@@ -369,27 +378,18 @@ class _GridSum:
         of the blocks.
         """
         offsets = offset_factors.shape[0]
-        s = _half_even(r)
-        if s is not None:
-            points = np.flatnonzero(self.base)
-            keys = [res[points] for res in self._residues]
-            classes = len(set(zip(*(key.tolist() for key in keys))))
-            work = _convolution_work(classes, s, self.total)
-            # each pass over a block is one chunk of exact._convolve: a pair
-            # takes 32 bytes and 32 more per offset column
-            columns = (exact._BLOCK_BYTES // max(work, len(self.base)) - 32) // 32
-            if 4 * work <= self.total and columns > 0:
-                def convolved(block: np.ndarray) -> np.ndarray:
-                    # inf is rejected later
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        terms = block[:, points].T * self.base[points, None]
-                        G = convolution_power(keys, [terms], s, self.moduli)[0]
-                        parts = G.view(np.float64)  # re, im interleaved
-                        parts *= parts
-                        return self.total * _column_sums(parts[:, 0::2] + parts[:, 1::2])
+        plan = self._convolution_plan(_half_even(r), 1, fixed=0)
+        if plan is not None:
+            points = plan.points
 
-                blocks = [offset_factors[lo:lo + columns] for lo in range(0, offsets, columns)]
-                return np.concatenate(self._map_blocks(convolved, blocks, list))
+            def convolved(block: np.ndarray) -> np.ndarray:
+                with np.errstate(over="ignore", invalid="ignore"):  # inf is rejected later
+                    terms = block[:, points].T * self.base[points, None]
+                return self.convolved_power_sums(plan, terms)
+
+            blocks = [offset_factors[lo:lo + plan.columns]
+                      for lo in range(0, offsets, plan.columns)]
+            return np.concatenate(self._map_blocks(convolved, blocks, list))
         # S, |S|^r and scratch take 32 bytes per sample; the point rows are
         # a few percent more
         rows = min(self.total, max(1, exact._BLOCK_BYTES // (32 * offsets)))
@@ -437,6 +437,50 @@ class _GridSum:
                 requested=needed) from None
         return sums
 
+    def _convolution_plan(self, s: int | None, columns: int,
+                          fixed: int) -> "_Convolution | None":
+        """The convolution's plan for this view's coefficients, or None when
+        its work says the transform or the GEMM is cheaper.
+
+        Its work is W = sum_{t=1}^{s-1} min(|H|^t, T) |H| (as in
+        :func:`_even_count`), |H| the distinct residue keys of the points
+        with a_n != 0, counted only when 4 fixed <= T.  It runs when
+        4 (W + fixed) <= T and at least ``columns`` term columns fit one
+        chunk of the engine: each pass over an offset column block is one
+        chunk of exact._convolve, where a pair takes 32 bytes and 32 more per
+        column.  ``fixed`` is the engine's cost per call in pairs, 0 where
+        its calls share a block of offsets.  A value without offsets needs
+        no column to fit (``columns`` = 0): the engine chunks its passes
+        itself.
+        """
+        if s is None or 4 * fixed > self.total:
+            return None
+        points = np.flatnonzero(self.base)
+        keys = [res[points] for res in self._residues]
+        # one code per point, equal exactly where all its residues are
+        codes = np.sort(np.ravel_multi_index(keys, self.moduli)
+                        if self.total <= exact._WORD_LIMIT else exact._joint_code(keys))
+        classes = int(np.count_nonzero(codes[1:] != codes[:-1])) + 1 if len(codes) else 0
+        work = _convolution_work(classes, s, self.total)
+        fit = max(0, (exact._BLOCK_BYTES // max(work, len(self.base)) - 32) // 32)
+        if 4 * (work + fixed) > self.total or fit < columns:
+            return None
+        # every other class holds a point: a bound on the largest class
+        return _Convolution(s, points, keys, classes, len(points) - max(classes - 1, 0), fit)
+
+    def convolved_power_sums(self, plan: "_Convolution", terms: np.ndarray) -> np.ndarray:
+        """T sum_h |G_v(h)|^2 for each column v of ``terms`` (one row per
+        point of the plan), G_v = H_v^{*s} cyclic on prod Z/M_j for the
+        residue histogram H_v of that column: by Parseval the sum over the
+        grid of |S_v|^r, r = 2s, S_v the grid sum of the column's terms.
+        Each column's sum of |G_v|^2 is correctly rounded, then multiplied by
+        T.  A value past the float range is inf."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = convolution_power(plan.keys, [terms], plan.s, self.moduli)[0]
+            parts = G.view(np.float64)  # re, im interleaved
+            parts *= parts
+            return self.total * _column_sums(parts[:, 0::2] + parts[:, 1::2])
+
     def _map_blocks(self, fn, blocks: list, combine):
         """combine(map(fn, blocks)), on the grid's threads for several blocks."""
         if self.threads == 1 or len(blocks) == 1:
@@ -447,6 +491,17 @@ class _GridSum:
     def weighted_power_sum(self, r: float) -> float:
         """sum over iota of |S(iota)|^r, by the transform."""
         return _transform_power_sum(self.moduli, self._residues, self.base, r)
+
+
+class _Convolution(NamedTuple):
+    """The convolution's plan for one grid view (:meth:`_GridSum._convolution_plan`)."""
+
+    s: int  # r / 2
+    points: np.ndarray  # the points n with a_n != 0
+    keys: list[np.ndarray]  # their residues P_j(n) mod M_j, per axis
+    classes: int  # |H|, the distinct keys among them
+    largest: int  # at least the most points that share one key
+    columns: int  # term columns that one chunk of the engine holds
 
 
 def _offset_factors(
@@ -487,6 +542,13 @@ def _even_count(grid: _GridSum, s: int | None) -> int | None:
         return None
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: a product of n factors
+    (1 + delta), |delta| <= u, is within gamma_n of 1 (for n u < 1)."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu) if nu < 1.0 else math.inf
+
+
 def _count_value(count: int) -> float:
     """The count as a float; a count past the float range reads inf, which
     MeanValueReport rejects like an overflowing transform."""
@@ -514,18 +576,73 @@ def _prepare(system: PhaseSystem, vectors, r: float, scale: ScaleSpec,
     return vectors, domain, _phase_values(system, index)
 
 
+def _convolved_value(view: _GridSum, plan: _Convolution, normalise) -> tuple[float, float]:
+    """normalise(T sum_h |G(h)|^2), G = H^{*s} for the view's coefficients,
+    and a bound on its rounding error, by :meth:`_GridSum.convolved_power_sums`.
+
+    The bound is gamma_n sum_h Gc(h)^2 for Gc = |H|^{*s}, the convolution
+    power of the histogram of the |a_n|, formed as a second column of the
+    same passes (Higham, "Accuracy and Stability of Numerical Algorithms",
+    2002, sections 3.1 and 3.6).  Each term of G(h) is a product of s
+    coefficients, and on its way to G(h) it meets at most c - 1 additions in
+    the histogram (c the largest class of points sharing a key), then per
+    pass one complex product (within sqrt(2) gamma_2 < 3 u) and at most
+    |H| - 1 additions, since at most |H| pairs land on one key.  So the
+    computed G(h) is within gamma_K Gc(h) of G(h), K = c - 1 + (s - 1)(|H| +
+    2), and the reported value, whose terms are products of two such sums
+    further rounded by |G|^2 (two roundings), the sum (correctly rounded),
+    the factor T and normalise (two), is within gamma_n sum_h Gc(h)^2 with n
+    = 2 K + 6.  The factor 2 on the reported bound covers the rounding of
+    Gc itself, whose nonnegative terms each round by less than a factor
+    1 - u, and of the bound's own arithmetic.
+    """
+    terms = np.empty((len(plan.points), 2), dtype=np.complex128)
+    terms[:, 0] = view.base[plan.points]
+    terms[:, 1] = np.abs(terms[:, 0])
+    total, check = view.convolved_power_sums(plan, terms).tolist()
+    chain = plan.largest - 1 + (plan.s - 1) * (plan.classes + 2)
+    return normalise(total), 2 * _gamma(2 * chain + 6) * normalise(check)
+
+
 def _offset_free_reports(grid: _GridSum, vectors, r: float, s: int | None,
                          kind: str, normalise) -> list[MeanValueReport]:
-    """One report per vector on a grid without offsets: the exact count
-    ("<kind>-count", error bound 0) where :func:`_even_count` applies, else
-    normalise(sum of |S|^r) by the transform ("<kind>-exact"), whose error
-    bound estimates its rounding: O(log T) ulps per sample of T samples."""
+    """One report per vector on a grid without offsets, the first of three
+    methods that applies: the exact count ("<kind>-count", error bound 0)
+    where :func:`_even_count` applies; for even r the convolution of complex
+    coefficients ("<kind>-convolution", see :func:`_convolved_value`) where
+    it is cheaper than the transform; else normalise(sum of |S|^r) by the
+    transform ("<kind>-exact"), whose error bound estimates its rounding:
+    O(log T) ulps per sample of T samples.
+
+    The convolution runs when 4 (W + _CONVOLUTION_FIXED) <= T, W its work
+    (see :meth:`_GridSum._convolution_plan`): its fixed cost per call, some
+    100-250 us, is worth about 1024 pairs of W, and a pair costs about as
+    much as four cells of the transform.  Timed against the transform on 94
+    grids with 4 W <= T (the four systems of the test suite on p-adic grids
+    at sigma 0 and localized and on real L_j grids, T from 27 to 531441,
+    r = 4, 6, 8, random-phase coefficients; two sweeps on one core of a
+    2-core x86_64 machine, numpy 2.4), as convolution time over transform
+    time:
+
+        T               gate   grids  median  range
+        27-999          no     28     2.37    0.58-5.33
+        1000-4095       no      8     1.04    0.45-1.61
+        4096-16383      no      9     1.00    0.65-1.58
+        4096-16383      yes    11     0.42    0.17-0.94
+        16384-131071    yes    20     0.10    0.03-0.67
+        131072-531441   yes    18     0.03    0.00-0.12
+
+    The gate lost on none of its 49 grids; the offset rule 4 W <= T alone
+    would take all 94 and lose on 33 to 38 of them, by up to 5.3 times.
+    """
     reports = []
     for coeffs in vectors:
         view = grid.view(coeffs)
         count = _even_count(view, s)
         if count is not None:
             value, err, method = _count_value(count), 0.0, f"{kind}-count"
+        elif (plan := view._convolution_plan(s, 0, fixed=_CONVOLUTION_FIXED)) is not None:
+            (value, err), method = _convolved_value(view, plan, normalise), f"{kind}-convolution"
         else:
             value = normalise(view.weighted_power_sum(r))
             err, method = value * 4e-15 * math.log2(grid.total + 2), f"{kind}-exact"
@@ -546,11 +663,14 @@ def padic_short_mv(
     """The p-adic short mean value of each vector as an exact finite sum
     (see module docs): one report per vector, in order.
 
-    The vectors share one index domain, so the grid is set up once.
-    "padic-count" counts a value exactly in integers when :func:`_even_count`
-    applies (the prefactor N^(sum(sigma_j - deg_j)) = 1/T cancels Parseval's
-    T), with error bound 0; every other vector runs the transform
-    ("padic-exact").
+    The vectors share one index domain, so the grid is set up once.  Each
+    vector takes the first of three methods that applies (see
+    :func:`_offset_free_reports`): "padic-count" counts a value exactly in
+    integers when :func:`_even_count` applies (the prefactor
+    N^(sum(sigma_j - deg_j)) = 1/T cancels Parseval's T), with error bound
+    0; for even r, "padic-convolution" convolves the complex histogram when
+    4 (W + 1024) <= T, with a rounding bound; every other vector runs the
+    transform ("padic-exact").
     """
     vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)
     grid = _GridSum(phase_vals, domain.cell_counts, threads)
@@ -574,10 +694,12 @@ def real_sparse_mv(
     for methods): one report per vector, in order.
 
     The exact grid runs at sigma = 0 with an even integer r when its
-    prod_j L_j samples fit NODE_BUDGET: as an exact integer count
-    ("real-count", error bound 0) when :func:`_even_count` applies, else as
-    a transform ("real-exact").  Every other input runs Gauss cells
-    ("real-gauss").
+    T = prod_j L_j samples fit NODE_BUDGET, by the first of three methods
+    that applies (see :func:`_offset_free_reports`): an exact integer count
+    ("real-count", error bound 0) when :func:`_even_count` applies, the
+    convolution of the complex histogram ("real-convolution") when
+    4 (W + 1024) <= T, else a transform ("real-exact").  Every other input
+    runs Gauss cells ("real-gauss").
     """
     quad = quad or QuadratureConfig()
     vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)

@@ -113,6 +113,9 @@ def test_hensel_bad_prime_exit_1(capsys):
     ["mv-real", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
      "--sampler", "no-such-sampler"],
     ["no-such-command"],
+    # corollary-ratio's sigma is one scalar, not a list
+    ["corollary-ratio", "--p", "3", "--K-list", "1", "--sigma", "1,7", "--r", "4",
+     "--samplers", "all-ones"],
 ])
 def test_bad_exponent_or_threads_exit_1_one_line(args, tmp_path, capsys):
     code, _, err = run(args + ["--out", str(tmp_path / "o.csv")], capsys)

@@ -124,16 +124,18 @@ def naive_padic_value(system, coeffs, N, sigma, r):
 # --- p-adic short mean values ------------------------------------------------
 
 def test_orthogonality_r2_random_coefficients():
-    for p, K in ((3, 1), (3, 2), (5, 1), (5, 2)):
+    # p=5 K=2 has T = 15625 cells: W = 0 at s = 1, so it takes the convolution
+    for p, K, method in ((3, 1, "padic-exact"), (3, 2, "padic-exact"),
+                         (5, 1, "padic-exact"), (5, 2, "padic-convolution")):
         scale = ScaleSpec(p=p, K=K)
         domain = IndexDomain.box(scale.N, 1)
         coeffs = sample_coefficients("random-phase", domain, seed=11, draw=K)
         report = padic_short_mv(PARABOLA, [coeffs], 2.0, scale, _sigma(0, 0))[0]
         expected = coeffs.ell_r(2.0)
         assert report.value == pytest.approx(expected, rel=1e-9)
-        # a transform value: its bound is a rounding estimate, not 0
+        # a rounded value: its bound is a rounding estimate, not 0
         assert abs(report.value - expected) <= report.quadrature_error_bound
-        assert report.method == "padic-exact"
+        assert report.method == method
 
 
 def test_padic_equals_congruence_count_parabola():
@@ -306,12 +308,15 @@ def test_real_exact_grid_transform_matches_direct_evaluator(system, p, K):
     )
     sig = _sigma(*([0] * len(system.components)))
     report = real_sparse_mv(system, [coeffs], float(r), scale, sig)[0]
-    assert report.method == "real-exact"
+    # the 10395 samples of Q(2^(1/3)) at W = 64 take the convolution
+    assert report.method == ("real-convolution" if system is CUBE_ROOT_2 else "real-exact")
     phase_rows = [[c.evaluate(pt) for pt in coeffs.domain.points]
                   for c in system.components]
     moduli = [(r // 2) * (max(row) - min(row)) + 1 for row in phase_rows]
-    direct = _direct_power_sum(_grid(system, coeffs, moduli), r) / math.prod(moduli)
+    grid = _grid(system, coeffs, moduli)
+    direct = _direct_power_sum(grid, r) / grid.total
     assert report.value == pytest.approx(direct, rel=1e-12)
+    assert grid.weighted_power_sum(r) / grid.total == pytest.approx(direct, rel=1e-12)
 
 
 def test_padic_transform_matches_mpmath_number_field_localized():
@@ -340,6 +345,131 @@ def test_padic_transform_matches_mpmath_oracle(system, p, K, sig, r):
     assert fast.value == pytest.approx(
         _mpmath_padic_mv(system, coeffs, r, scale, _sigma(*sig)), rel=1e-12
     )
+
+
+# --- even-r values of complex coefficients by the convolution --------------------
+
+def _mpmath_grid_mean(system, coeffs, r, moduli, prec=100):
+    """(1/T) sum over the grid prod Z/M_j of |sum_n a_n e(sum_j iota_j P_j(n) / M_j)|^r
+    at ``prec`` bits: integer phases over the common denominator D of the M_j,
+    mpmath unit roots and sums.  Shares no code with meanvalue."""
+    P = [[c.evaluate(pt) for pt in coeffs.domain.points] for c in system.components]
+    D = math.lcm(*moduli)
+    steps = [[p * (D // m) % D for p in row] for row, m in zip(P, moduli)]
+    with mpmath.workprec(prec):
+        roots = {}
+        base = [mpmath.mpc(a.real, a.imag) for a in coeffs.amplitude]
+        total = mpmath.mpf(0)
+        for iota in product(*(range(m) for m in moduli)):
+            inner = mpmath.mpc(0)
+            for n, a in enumerate(base):
+                t = sum(i * row[n] for i, row in zip(iota, steps)) % D
+                if t not in roots:
+                    roots[t] = mpmath.expjpi(2 * mpmath.mpf(t) / D)
+                inner += a * roots[t]
+            total += abs(inner) ** r
+        return float(total / math.prod(moduli))
+
+
+#: (system, p, K, sigma or None for the real L_j grid, even r, sampler): the
+#: parabola, the moment curve k=3 and Q(i), with six points sharing a key
+#: (parabola sigma (1,1)) and zero coefficients (random-sparse)
+CONVOLUTION_CASES = [
+    (PARABOLA, 3, 1, (0, 0), 4, "random-phase"),
+    (PARABOLA, 5, 1, (0, 0), 4, "random-sparse"),
+    (PARABOLA, 3, 2, (1, 1), 4, "random-phase"),
+    (PARABOLA, 5, 1, None, 4, "random-phase"),
+    (PARABOLA, 5, 1, None, 6, "random-sparse"),
+    (MOMENT3, 3, 1, (0, 0, 0), 4, "random-phase"),
+    (MOMENT3, 3, 1, (0, 0, 0), 6, "random-phase"),
+    (MOMENT3, 3, 1, None, 4, "random-phase"),
+    (MOMENT3, 3, 1, None, 6, "random-phase"),
+    (GAUSSIAN, 3, 1, (0, 0, 0, 0), 4, "random-phase"),
+    (GAUSSIAN, 3, 1, (0, 0, 1, 1), 6, "random-phase"),
+    (GAUSSIAN, 2, 1, None, 4, "random-phase"),
+    (GAUSSIAN, 2, 1, None, 6, "random-phase"),
+]
+
+
+@pytest.mark.parametrize("system, p, K, sig, r, sampler", CONVOLUTION_CASES)
+def test_convolution_matches_transform_and_mpmath_within_its_bound(
+        system, p, K, sig, r, sampler):
+    # the convolution route called directly: _convolution_work is patched to
+    # 0 so that every grid here passes the gate
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        sampler, IndexDomain.box(scale.N, system.dimension), seed=71)
+    phases = meanvalue._phase_values(system, coeffs.domain)
+    if sig is None:
+        moduli = [(r // 2) * (max(row) - min(row)) + 1 for row in phases]
+        normalise = lambda total: total / math.prod(moduli)  # noqa: E731
+    else:
+        moduli = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
+        normalise = lambda total: (1 / math.prod(moduli)) * total  # noqa: E731
+    grid = _GridSum(phases, moduli).view(coeffs)
+    with mock.patch.object(meanvalue, "_convolution_work", return_value=0):
+        plan = grid._convolution_plan(r // 2, 0, fixed=0)
+    value, bound = meanvalue._convolved_value(grid, plan, normalise)
+    transform = normalise(grid.weighted_power_sum(float(r)))
+    assert value == pytest.approx(transform, rel=1e-12)
+    oracle = _mpmath_grid_mean(system, coeffs, r, moduli)
+    assert abs(value - oracle) <= bound <= 1e-12 * value
+
+
+@pytest.mark.parametrize("moduli", [(9, 81), (2**9,) * 7])  # T = 729 and 2^63
+def test_convolution_plan_counts_residue_classes(moduli):
+    rng = np.random.default_rng(83)
+    phases = [rng.integers(0, 3 * m, 40).tolist() for m in moduli]
+    amplitude = np.where(rng.random(40) < 0.3, 0.0, np.exp(2j * rng.random(40)))
+    coeffs = CoefficientVector(IndexDomain.box(40, 1), amplitude)
+    with mock.patch.object(meanvalue, "_convolution_work", return_value=0):
+        plan = _GridSum(phases, moduli).view(coeffs)._convolution_plan(2, 0, fixed=0)
+    keys = Counter(tuple(v % m for v, m in zip(point, moduli))
+                   for point, a in zip(zip(*phases), amplitude) if a != 0)
+    assert plan.points.tolist() == np.flatnonzero(amplitude).tolist()
+    assert plan.classes == len(keys)
+    assert plan.largest >= max(keys.values())
+
+
+def test_offset_free_methods_on_the_benchmark_shapes():
+    # the large grids of random phases take the convolution; the small grids
+    # of the other commands keep the count or the transform
+    sig = _sigma(0, 0)
+    for system, p, K, sig_large in ((PARABOLA, 3, 4, sig), (MOMENT3, 3, 2, _sigma(0, 0, 0)),
+                                    (GAUSSIAN, 7, 1, _sigma(0, 0, 0, 0))):
+        scale = ScaleSpec(p=p, K=K)
+        phase = sample_coefficients(
+            "random-phase", IndexDomain.box(scale.N, system.dimension), seed=3)
+        report = padic_short_mv(system, [phase], 4.0, scale, sig_large)[0]
+        assert report.method == "padic-convolution"
+        assert 0 < report.quadrature_error_bound < 1e-13 * report.value
+        # the engine chunks its own passes: no column needs to fit a block
+        with mock.patch.object(exact, "_BLOCK_BYTES", 64):
+            chunked = padic_short_mv(system, [phase], 4.0, scale, sig_large)[0]
+        assert chunked.method == "padic-convolution"
+        assert chunked.value == pytest.approx(report.value, rel=1e-13)
+    small = ScaleSpec(p=3, K=1)
+    ones = CoefficientVector.ones(IndexDomain.box(3, 1))
+    assert padic_short_mv(PARABOLA, [ones], 4.0, small, sig)[0].method == "padic-count"
+    assert real_sparse_mv(PARABOLA, [ones], 4.0, small, sig)[0].method == "real-count"
+    five = ScaleSpec(p=5, K=1)
+    units = CoefficientVector(IndexDomain.box(5, 1), [1, 0, 1j, -1, 0])
+    assert padic_short_mv(PARABOLA, [units], 6.0, five, sig)[0].method == "padic-count"
+    phase = sample_coefficients("random-phase", IndexDomain.box(5, 1), seed=3)
+    assert real_sparse_mv(PARABOLA, [phase], 4.0, five, sig)[0].method == "real-exact"
+    # restriction-estimate --side both at p=3 K=1 and corollary-ratio at
+    # K = 1, 2, 3: a count for the Gaussian-integer samplers, else the transform
+    for K, sides, sigma in ((1, (padic_short_mv, real_sparse_mv), sig),
+                            (2, (padic_short_mv,), _sigma(0, 1)),
+                            (3, (padic_short_mv,), _sigma(0, 1))):
+        scale = ScaleSpec(p=3, K=K)
+        domain = IndexDomain.box(scale.N, 1)
+        for fn, kind in zip(sides, ("padic", "real")):
+            for name in SAMPLER_NAMES:
+                coeffs = sample_coefficients(name, domain, seed=5)
+                method = fn(PARABOLA, [coeffs], 4.0, scale, sigma)[0].method
+                gaussian = name in ("all-ones", "single-point")
+                assert method == f"{kind}-{'count' if gaussian else 'exact'}"
 
 
 # --- exact integer counts against the transform ---------------------------------
@@ -800,6 +930,13 @@ def test_threads_do_not_change_values():
     real1 = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1), threads=1)[0]
     real4 = real_sparse_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 1), threads=4)[0]
     assert real1.value == real4.value
+    # mv-padic --p 3 --K 4 --sigma 0,0 --r 4 takes the convolution
+    scale = ScaleSpec(p=3, K=4)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(81, 1), seed=23)
+    one, two = (padic_short_mv(PARABOLA, [coeffs], 4.0, scale, _sigma(0, 0),
+                               threads=threads)[0] for threads in (1, 2))
+    assert one.method == "padic-convolution"
+    assert repr(one) == repr(two)
 
 
 def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
