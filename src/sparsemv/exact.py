@@ -27,6 +27,7 @@ and their moduli for a value without offsets (``padic-convolution`` and
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 import numpy as np
@@ -166,11 +167,11 @@ def fsum_rows(rows: np.ndarray) -> float | np.ndarray:
     half-even fix reads the next nonzero partial below that step.  A column
     with a non-finite partial (a non-finite term, or a partial sum out of
     range) goes to :func:`_fsum`, and so does every column of more than
-    _VECTOR_ROWS rows.
+    _VECTOR_ROWS rows, and a single column, which costs one call.
     """
     if rows.ndim == 1:
         return _fsum(rows.tolist())
-    if len(rows) > _VECTOR_ROWS:
+    if len(rows) > _VECTOR_ROWS or rows.shape[1] == 1:
         return np.array([_fsum(col) for col in rows.T.tolist()], dtype=np.float64)
     partials = np.array(rows, dtype=np.float64)
     if not len(partials):
@@ -255,6 +256,65 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     if not ok.all():
         sums[~ok] = fsum_rows(extract_partials(x[:, ~ok]))
     return sums
+
+
+def _blocked_sums(blocks: list, terms, buffers, threads: int = 1) -> np.ndarray:
+    """math.fsum down each column of the terms of all blocks together, bit
+    for bit, with one extraction round per block.
+
+    ``terms(block, buf)`` forms one block's terms as a 2-d float64 array in
+    the work space ``buf`` and returns them with a scratch array of the same
+    shape; ``buffers()`` allocates the work space of one worker.  Workers
+    take contiguous runs of the blocks on up to ``threads`` threads, each
+    through the work space it allocates once.  Each block takes one round
+    of :func:`extract_once`: its [hi, tail] rows fold exactly into a few
+    rows of partials, and its bounds E_b add up to at most
+    2^ceil(log2 B) max_b E_b over the B blocks.  Columns this bound does not
+    certify rerun the same blocks with full extraction.  Either way the sums
+    depend on neither the thread count nor the order or size of the blocks.
+    """
+    workers = min(threads, len(blocks))
+    runs = [blocks[w * len(blocks) // workers:(w + 1) * len(blocks) // workers]
+            for w in range(workers)]
+    jobs = [(run, buffers()) for run in runs]
+
+    def fold(pieces) -> tuple[np.ndarray, np.ndarray]:
+        # several pieces' rows as one, taken down to their exact partials
+        # past two pieces' worth, so that the certificate sums a few rows
+        pieces = list(pieces)
+        rows = np.concatenate([rows for rows, _ in pieces])
+        if len(rows) > 4:
+            rows = extract_partials(rows)
+        return rows, np.max([bound for _, bound in pieces], axis=0)
+
+    def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
+        def run(job) -> tuple[np.ndarray, np.ndarray]:
+            pieces = []
+            for block in job[0]:
+                x, scratch = terms(block, job[1])
+                if one_round:
+                    pieces.append(extract_once(x, out=scratch)[:2])
+                else:
+                    pieces.append((extract_partials(x), np.zeros(x.shape[1])))
+                if len(pieces) == 8:  # holds a few rows per column
+                    pieces = [fold(pieces)]
+            return fold(pieces)
+
+        return fold(_map_threads(run, jobs, threads))
+
+    partials, bound = reduced(one_round=True)
+    sums, ok = certified(partials, np.ldexp(bound, (len(blocks) - 1).bit_length()))
+    if not ok.all():
+        sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
+    return sums
+
+
+def _map_threads(fn, items: list, threads: int) -> list:
+    """list(map(fn, items)), on up to ``threads`` threads for several items."""
+    if threads == 1 or len(items) == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def tree_sum(values: np.ndarray | Iterable) -> complex | float:

@@ -9,11 +9,13 @@ with M_j = N^(deg_j - sigma_j),
 and already includes the N^(sum sigma_j) normalization of the defining
 inequality.  The residues P_j(n) mod M_j are reduced exactly with Python
 integers and the coefficients scattered into the phase histogram
-H[h] = sum {a_n : P(n) = h mod M}; one unnormalised inverse FFT of H gives the
+H[h] = sum {a_n : P(n) = h mod M}; the unnormalised inverse DFT of H gives the
 inner sum at every cell, so floating point enters only in the transform and
-in the final reduction.  For r = 2s the value is sum_h |G(h)|^2, G = H^{*s}
-cyclic on prod Z/M_j (Parseval; the prefactor is 1/T), and three methods
-compute it, the first that applies: for Gaussian-integer coefficients the
+in the final reduction.  On large grids the transform's passes skip the
+fibres that are still zero and the reduction runs block by block (see
+:func:`_transform_power_sum`).  For r = 2s the value is sum_h |G(h)|^2,
+G = H^{*s} cyclic on prod Z/M_j (Parseval; the prefactor is 1/T), and three
+methods compute it, the first that applies: for Gaussian-integer coefficients the
 integer is counted exactly with no floating point when that takes less work
 than the transform touches cells (``padic-count``, see :func:`_even_count`);
 for any other coefficients the same convolution engine forms G in floating
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 import copy
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -79,11 +80,8 @@ from . import exact
 from .exact import (
     _column_sums,
     _convolution_work,
-    certified,
     convolution_counts,
     convolution_power,
-    extract_once,
-    extract_partials,
     fsum_rows,
     modulus_power,
     root_table,
@@ -104,6 +102,12 @@ SAMPLER_NAMES = ("all-ones", "single-point", "random-phase", "random-sparse")
 #: The convolution engine's cost per call, in pairs of its work W, that an
 #: offset-free value pays against the transform (see _offset_free_reports).
 _CONVOLUTION_FIXED = 1024
+
+#: Most cells of a grid whose transform is one np.fft.ifftn call, and of
+#: one whose |S|^r are one tree_sum: the measured break-evens of the pruned
+#: passes and of the blocked reduction (see _transform_power_sum).
+_PRUNE_CELLS = 16384
+_BLOCKED_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,8 @@ class MeanValueReport:
     inequality.  Integer counts ("padic-count", "real-count") report a zero
     error bound, convolutions ("padic-convolution", "real-convolution") a
     rounding bound, transforms ("padic-exact", "real-exact") a rounding
-    estimate and Gauss cells ("real-gauss") the gap between two levels.
+    estimate and Gauss cells ("real-gauss") the gap between two levels plus
+    a rounding estimate.
     """
 
     value: float
@@ -229,30 +234,156 @@ def _phase_values(system: PhaseSystem, domain: IndexDomain) -> list[list[int]]:
     return [[comp.evaluate(pt) for pt in domain.points] for comp in system.components]
 
 
-def _transform_power_sum(
-    shape: Sequence[int], index: tuple[np.ndarray, ...], values, r: float
-) -> float:
-    """sum over the grid of |S|^r, S the unnormalised inverse DFT of the histogram.
+def _transform_passes(shape: Sequence[int], index: tuple[np.ndarray, ...]):
+    """The pruned transform's plan (order, keeps), or None when the grid has
+    at most _PRUNE_CELLS cells or no pass would skip enough cells to pay
+    for pruning (see :func:`_transform_power_sum`).
 
-    The histogram H[h] = sum {values[i] : index[i] = h} is scattered into a
-    complex array of the given shape, which the inverse FFT overwrites.
+    Axes run in ``order``, by increasing modulus, the largest last.  Before
+    the pass over the i-th of them, the axes after it are still
+    untransformed, so a fibre along it is zero unless its coordinates on
+    them are those of a point of H's support: the flat codes of those
+    coordinates, for every value of the axes already transformed.  The
+    cells of these fibres never decrease from one pass to the next, so the
+    passes that run pruned are the first len(keeps), keeps[i] the codes of
+    the i-th; each skips at least twice the cells it gathers, which
+    outweighs the gather and the scatter.  A pass gathers at least one
+    cell per distinct point of H, so a histogram of more than a third as
+    many points as cells is taken as dense without finding its fibres.
     """
     cells = math.prod(shape)
-    try:
+    if cells <= _PRUNE_CELLS or 3 * len(index[0]) > cells:
+        return None
+    order = sorted(range(len(shape)), key=lambda j: shape[j])
+    dims = [shape[j] for j in order]
+    # the codes of the points on every axis but the first
+    codes = np.ravel_multi_index([index[j] for j in order[1:]], dims[1:])
+    keeps, transformed = [], 1
+    for size in dims[:-1]:
+        transformed *= size
+        fibres = np.zeros(cells // transformed, dtype=bool)
+        fibres[codes % len(fibres) if keeps else codes] = True
+        codes = np.flatnonzero(fibres)
+        if 3 * transformed * len(codes) > cells:
+            break
+        keeps.append(codes)
+    return (order, keeps) if keeps else None
+
+
+def _inverse_transform(shape: Sequence[int], index: tuple[np.ndarray, ...],
+                       values, plan) -> np.ndarray:
+    """S = T ifftn(H), the unnormalised inverse DFT of the histogram
+    H[h] = sum {values[i] : index[i] = h} on a grid of the given shape.
+
+    H is scattered into a complex array which the transform overwrites.
+    Without a ``plan`` (:func:`_transform_passes`) that is one np.fft.ifftn
+    call.  With one, the axes run in the plan's order: each pruned pass is
+    one np.fft.ifft of the fibres it gathers, which it scatters back, and
+    one np.fft.ifftn over the remaining axes runs on the whole array in
+    place.  The array then holds the axes in the plan's order; the result
+    is a view of it with the axes in the order of ``shape``.
+    """
+    if plan is None:
         S = np.zeros(shape, dtype=np.complex128)
         np.add.at(S, index, values)
         # norm="forward" leaves the inverse transform unscaled: S = T ifftn(H)
-        np.fft.ifftn(S, norm="forward", out=S)
-        parts = S.view(np.float64)  # re, im interleaved
-        parts *= parts
-        a2 = parts[..., 0::2] + parts[..., 1::2]
-        del S, parts
-        power = modulus_power(a2, r)
-        del a2
-        return tree_sum(power)
+        return np.fft.ifftn(S, norm="forward", out=S)
+    order, keeps = plan
+    dims = [shape[j] for j in order]
+    S = np.zeros(dims, dtype=np.complex128)
+    np.add.at(S, tuple(index[j] for j in order), values)
+    for i, keep in enumerate(keeps):
+        axis = S.reshape(math.prod(dims[:i]), dims[i], -1)
+        fibres = axis[:, :, keep]
+        axis[:, :, keep] = np.fft.ifft(fibres, axis=1, norm="forward", out=fibres)
+    rest = S.reshape([-1] + dims[len(keeps):])
+    np.fft.ifftn(rest, axes=range(1, rest.ndim), norm="forward", out=rest)
+    return S.transpose(np.argsort(order))
+
+
+def _transform_power_sum(
+    shape: Sequence[int], index: tuple[np.ndarray, ...], values, r: float,
+    threads: int = 1,
+) -> float:
+    """sum over the grid of |S|^r, S the unnormalised inverse DFT of the
+    histogram (:func:`_inverse_transform`), correctly rounded.
+
+    A grid of more than _PRUNE_CELLS cells runs the pruned passes that
+    :func:`_transform_passes` finds worth it, else one np.fft.ifftn call.  A
+    grid of at most _BLOCKED_CELLS cells takes |S|^2 and |S|^r as whole
+    arrays and one :func:`exact.tree_sum`.  A larger one takes them and one
+    extraction round block by block over S in :func:`exact._blocked_sums`,
+    on ``threads`` threads.  A block's slice of S and its two float buffers
+    (32 bytes per cell, as a block of the offset GEMM at one offset) fill
+    exact._BLOCK_BYTES, and there are at least two blocks, so one worker's
+    buffers take at most half of S's 16 bytes per cell.  Either way the sum
+    is the correctly rounded sum of the |S|^r; the pruned passes move S
+    itself by rounding.
+
+    Both floors and the pass rule are measured.  A pruned pass cost about
+    2.2 times as much per gathered cell as a full pass per cell, plus some
+    10 us, so it runs where it skips at least twice the cells it gathers.
+    On 28 grids under 4096 cells the passes cost 1.9 times one ifftn
+    (median), and from 16384 to 65536 cells the blocks cost 0.6 to 1.6
+    times one tree_sum, depending on whether the process's allocator maps
+    tree_sum's arrays afresh.  Timed against one ifftn and one tree_sum on
+    144 grids (the four systems of the test suite, p = 2, 3, 5, 7, T from
+    27 to 14348907, sigma 0 and the last axis localized by 1, r = 3; random
+    phases on the domain's points, and up to T = 531441 a random value on
+    every cell, which leaves no fibre to skip; interleaved on one core of a
+    2-core x86_64 machine, numpy 2.4), as time over that time:
+
+        T                 transform  sum       values  grids  median  range
+        27-16384          ifftn      tree_sum  both      78    1.02    0.99-1.10
+        16385-65536       ifftn      tree_sum  both      13    1.01    0.99-1.03
+        16385-65536       pruned     tree_sum  points    11    0.78    0.48-0.90
+        65537-1048575     ifftn      blocks    both      17    1.00    0.86-1.04
+        65537-1048575     pruned     blocks    points    11    0.66    0.48-0.90
+        1048576-14348907  ifftn      blocks    points     3    0.51    0.51-0.57
+        1048576-14348907  pruned     blocks    points    11    0.42    0.30-0.70
+
+    At T = 14348907 (parabola p = 3, K = 5, sigma 0) that was 0.35, and the
+    peak fell from 24 to 16 bytes per cell.
+    """
+    cells = math.prod(shape)
+    block = min(exact._BLOCK_BYTES // 32, -(-cells // 2))
+    plan = None
+    try:
+        plan = _transform_passes(shape, index)
+        S = np.ravel(_inverse_transform(shape, index, values, plan), order="K")
+        if cells <= _BLOCKED_CELLS:
+            parts = S.view(np.float64)  # re, im interleaved
+            parts *= parts
+            a2 = parts[0::2] + parts[1::2]
+            del S, parts
+            power = modulus_power(a2, r)
+            del a2
+            return tree_sum(power)
+
+        def terms(bounds: tuple[int, int], buf) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = bounds
+            parts = S[lo:hi].view(np.float64)
+            x, scratch = buf[0, :hi - lo], buf[1, :hi - lo]
+            np.multiply(parts[0::2], parts[0::2], out=x)
+            x += np.multiply(parts[1::2], parts[1::2], out=scratch)
+            exact._power_into(x, r, x, scratch)
+            return x[:, None], scratch[:, None]
+
+        blocks = [(lo, min(lo + block, cells)) for lo in range(0, cells, block)]
+        return float(exact._blocked_sums(blocks, terms, lambda: np.empty((2, block)),
+                                         threads)[0])
     except MemoryError:
-        # peak: the complex transform array plus the float |S|^2 array
-        needed = 24 * cells
+        # S, and the larger of the cells that the last (largest) pruned pass
+        # gathers and the reduction's work space: |S|^2 on a small grid, else
+        # two blocks of floats per worker and one more in a full extraction
+        gathered = 0
+        if plan is not None:
+            order, keeps = plan
+            gathered = math.prod(shape[j] for j in order[:len(keeps)]) * len(keeps[-1])
+        work = 8 * cells
+        if cells > _BLOCKED_CELLS:
+            work = 24 * block * min(threads, -(-cells // block))
+        needed = 16 * cells + max(16 * gathered, work)
         raise BudgetExceededError(
             f"grid transform over {cells} cells needs about {needed} "
             "bytes, more than the machine could allocate",
@@ -266,11 +397,14 @@ class _GridSum:
     Without offsets, S(iota) = sum_n a_n e(sum_j iota_j P_j(n) / M_j) is the
     unnormalised inverse DFT of the phase histogram
     H[h] = sum {a_n : P(n) = h mod M}, so one scatter and one inverse FFT give
-    every cell in O(T log T + #points), T = prod M_j.  With quadrature offsets
-    v the sums of |S|^r are taken per offset: for even r by convolving the
-    modulated histogram when that is cheap, else by S(iota, v) =
-    sum_n E[iota, n] e(v . P(n)), one GEMM per block of cells; with a single
-    zero offset that path is the reference the transform is tested against.
+    every cell in O(T log T + #points), T = prod M_j; its passes skip the
+    fibres that are still zero (:func:`_inverse_transform`), and its |S|^r
+    are summed block by block (:func:`_transform_power_sum`).  With
+    quadrature offsets v the sums of |S|^r are taken per offset: for even r
+    by convolving the modulated histogram when that is cheap, else by
+    S(iota, v) = sum_n E[iota, n] e(v . P(n)), one GEMM per block of cells;
+    with a single zero offset that path is the reference the transform is
+    tested against.
 
     The grid holds what no coefficient changes: phases, residues and root
     tables.  Sums run on a :meth:`view`, which adds one
@@ -367,15 +501,13 @@ class _GridSum:
         The direct path returns the correctly rounded sum of the |S|^r.  It
         takes row blocks of iota, one GEMM each, sized so that a block's
         complex sums, powers and scratch (32 bytes per sample) fill
-        exact._BLOCK_BYTES.  Each worker thread runs a contiguous run of
-        blocks through buffers allocated once per call, so no block
-        allocates its samples afresh.  Each block takes one
-        extraction round: its [hi, tail] rows fold exactly into a few rows of
-        partials, and its bounds E_b add up to at most 2^ceil(log2 B) max_b
-        E_b over the B blocks.  Columns this bound does not certify rerun the
-        same blocks, the same GEMMs on the same terms, with full extraction.
-        Either way the sums depend on neither the thread count nor the order
-        of the blocks.
+        exact._BLOCK_BYTES, and sums them in :func:`exact._blocked_sums`:
+        each worker thread runs a contiguous run of blocks through buffers
+        allocated once per call, so no block allocates its samples afresh,
+        and each block takes one extraction round.  Columns that the
+        combined bound does not certify rerun the same blocks, the same
+        GEMMs on the same terms, with full extraction.  Either way the sums
+        depend on neither the thread count nor the order of the blocks.
         """
         offsets = offset_factors.shape[0]
         plan = self._convolution_plan(_half_even(r), 1, fixed=0)
@@ -389,46 +521,24 @@ class _GridSum:
 
             blocks = [offset_factors[lo:lo + plan.columns]
                       for lo in range(0, offsets, plan.columns)]
-            return np.concatenate(self._map_blocks(convolved, blocks, list))
+            return np.concatenate(exact._map_threads(convolved, blocks, self.threads))
         # S, |S|^r and scratch take 32 bytes per sample; the point rows are
         # a few percent more
         rows = min(self.total, max(1, exact._BLOCK_BYTES // (32 * offsets)))
         bounds = [(lo, min(lo + rows, self.total)) for lo in range(0, self.total, rows)]
-        workers = min(self.threads, len(bounds))
-        # each worker takes a contiguous run of blocks through its own buffers
-        runs = [bounds[w * len(bounds) // workers:(w + 1) * len(bounds) // workers]
-                for w in range(workers)]
         tables = self._point_tables()
 
-        def fold(pieces) -> tuple[np.ndarray, np.ndarray]:
-            # the exact partials of several pieces' rows: a few rows
-            pieces = list(pieces)
-            return (extract_partials(np.concatenate([part for part, _ in pieces])),
-                    np.max([bound for _, bound in pieces], axis=0))
-
-        def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
-            def run(job) -> tuple[np.ndarray, np.ndarray]:
-                blocks, buf = job
-                pieces = []
-                for lo, hi in blocks:
-                    terms = self._power_block(lo, hi, r, offset_factors, buf, tables)
-                    if one_round:
-                        pieces.append(extract_once(terms, out=buf[3][:hi - lo])[:2])
-                    else:
-                        pieces.append((extract_partials(terms), np.zeros(offsets)))
-                    if len(pieces) == 8:  # holds a few rows per offset
-                        pieces = [fold(pieces)]
-                return fold(pieces)
-
-            return self._map_blocks(run, list(zip(runs, buffers)), fold)
+        def terms(block: tuple[int, int], buf) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = block
+            return (self._power_block(lo, hi, r, offset_factors, buf, tables),
+                    buf[3][:hi - lo])
 
         try:
-            buffers = [self._block_buffers(rows, offsets) for _ in runs]
-            partials, bound = reduced(one_round=True)
-            sums, ok = certified(partials, np.ldexp(bound, (len(bounds) - 1).bit_length()))
-            if not ok.all():
-                sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
+            sums = exact._blocked_sums(bounds, terms,
+                                       lambda: self._block_buffers(rows, offsets),
+                                       self.threads)
         except MemoryError:
+            workers = min(self.threads, len(bounds))
             needed = workers * rows * (16 * len(self.base) + 32 * offsets)
             raise BudgetExceededError(
                 f"offset grid blocks of {rows} cells x {offsets} offsets take "
@@ -481,16 +591,10 @@ class _GridSum:
             parts *= parts
             return self.total * _column_sums(parts[:, 0::2] + parts[:, 1::2])
 
-    def _map_blocks(self, fn, blocks: list, combine):
-        """combine(map(fn, blocks)), on the grid's threads for several blocks."""
-        if self.threads == 1 or len(blocks) == 1:
-            return combine(map(fn, blocks))
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return combine(pool.map(fn, blocks))
-
     def weighted_power_sum(self, r: float) -> float:
         """sum over iota of |S(iota)|^r, by the transform."""
-        return _transform_power_sum(self.moduli, self._residues, self.base, r)
+        return _transform_power_sum(self.moduli, self._residues, self.base, r,
+                                    self.threads)
 
 
 class _Convolution(NamedTuple):
@@ -547,6 +651,13 @@ def _gamma(n: int) -> float:
     (1 + delta), |delta| <= u, is within gamma_n of 1 (for n u < 1)."""
     nu = n * 2.0**-53
     return nu / (1.0 - nu) if nu < 1.0 else math.inf
+
+
+def _rounding_estimate(value: float, samples: int) -> float:
+    """The rounding error that a value summed from |S|^r at ``samples``
+    samples reports, O(log) ulps per sample: value 4e-15 log2(samples + 2).
+    Transforms (T cells) and Gauss cells (cells x fine offsets) report it."""
+    return value * 4e-15 * math.log2(samples + 2)
 
 
 def _count_value(count: int) -> float:
@@ -645,7 +756,7 @@ def _offset_free_reports(grid: _GridSum, vectors, r: float, s: int | None,
             (value, err), method = _convolved_value(view, plan, normalise), f"{kind}-convolution"
         else:
             value = normalise(view.weighted_power_sum(r))
-            err, method = value * 4e-15 * math.log2(grid.total + 2), f"{kind}-exact"
+            err, method = _rounding_estimate(value, grid.total), f"{kind}-exact"
         reports.append(MeanValueReport(value, method, err))
     return reports
 
@@ -732,7 +843,10 @@ def _real_gauss(
     every vector runs one per-offset pass on them; a level's value is
     fsum(w_v * sum_v).  Only scalars are kept per vector, so memory does not
     grow with the number of vectors.  Returns (value, error, max of the fine
-    per-offset sums) per vector, and the number of fine offsets.
+    per-offset sums) per vector, and the number of fine offsets.  The error
+    is the gap between the levels plus the fine level's rounding estimate
+    (:func:`_rounding_estimate`), so it is not 0 where the two levels round
+    alike.
     """
     max_abs = [max(abs(v) for v in vals) for vals in grid.phase_vals]
     widths = [2 * h for h in domain.cell_halfwidths]
@@ -758,7 +872,9 @@ def _real_gauss(
         levels.append(values)
     prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))
     coarse, fine = ([prefactor * v for v in values] for values in levels)
-    return [(f, abs(f - c), top) for c, f, top in zip(coarse, fine, tops)], len(offsets)
+    samples = grid.total * len(offsets)
+    return [(f, abs(f - c) + _rounding_estimate(f, samples), top)
+            for c, f, top in zip(coarse, fine, tops)], len(offsets)
 
 
 def transfer_check(

@@ -196,6 +196,26 @@ def test_out_of_memory_in_grid_transform_exits_3(tmp_path, capsys, monkeypatch):
     assert "27 cells" in lines[0] and "bytes" in lines[0]
 
 
+def test_out_of_memory_in_pruned_transform_exits_3(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    # 262144 cells: the pruned passes run np.fft.ifft, not ifftn
+    monkeypatch.setattr(np.fft, "ifft", out_of_memory)
+    code, out, err = run(
+        ["mv-padic", "--p", "2", "--K", "6", "--sigma", "0,0", "--r", "5",
+         "--sampler", "random-phase", "--out", str(tmp_path / "mv.csv")],
+        capsys,
+    )
+    assert code == 3
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    # S, and the reduction's work space of one worker: blocks of 131072 cells
+    needed = 16 * 262144 + 24 * 131072
+    assert "262144 cells" in lines[0] and f"{needed} bytes" in lines[0]
+
+
 def test_out_of_memory_in_counterexample_transform_exits_3(tmp_path, capsys,
                                                            monkeypatch):
     def out_of_memory(*args, **kwargs):

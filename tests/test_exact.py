@@ -446,6 +446,36 @@ def test_tree_sum_falls_back_when_the_bound_is_huge(kind, n, seed):
         assert calls == ([n] if n >= exact._FSUM_TERMS else [])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_sums_equal_fsum_and_fall_back_on_a_tie(threads):
+    # 5000 rows in eight blocks: random magnitudes over 80 binades, signs
+    # that cancel, and a column whose exact total 100000 - 2^-37 is a tie
+    # halfway between two doubles, which no one-round bound certifies
+    rng = np.random.default_rng(89)
+    x = np.empty((5000, 4))
+    x[:, 0] = rng.random(5000)
+    x[:, 1] = np.ldexp(rng.random(5000), rng.integers(-40, 40, 5000))
+    x[:, 2] = rng.standard_normal(5000) * 1e10
+    x[:, 3] = 20.0
+    x[1234, 3] = 20.0 - 2.0**-37
+    blocks = [(lo, min(lo + 700, 5000)) for lo in range(0, 5000, 700)]
+    for columns, rounds in ((3, 1), (4, 2)):
+        calls = []
+
+        def terms(block, buf):
+            lo, hi = block
+            calls.append(block)
+            buf[0, :hi - lo] = x[lo:hi, :columns]
+            return buf[0, :hi - lo], buf[1, :hi - lo]
+
+        sums = exact._blocked_sums(blocks, terms,
+                                   lambda: np.empty((2, 700, columns)), threads)
+        assert sums.tolist() == [math.fsum(col) for col in x[:, :columns].T.tolist()]
+        # the tie reruns every block with full extraction
+        assert sorted(calls) == sorted(blocks * rounds)
+    assert sums[3] == 100000.0  # the tie rounds to even
+
+
 # --- the exact convolution count ---------------------------------------------
 
 def _dict_convolution_count(keys, weights, s, moduli=None):

@@ -347,6 +347,88 @@ def test_padic_transform_matches_mpmath_oracle(system, p, K, sig, r):
     )
 
 
+# --- the pruned transform and its blocked reduction --------------------------
+
+def _ifftn_reference(shape, index, values):
+    """T ifftn(H) by numpy's own n-d transform of the scattered histogram."""
+    H = np.zeros(shape, dtype=np.complex128)
+    np.add.at(H, index, values)
+    return np.fft.ifftn(H, norm="forward")
+
+
+def _assert_transform_matches_ifftn(shape, index, values):
+    plan = meanvalue._transform_passes(shape, index)
+    S = meanvalue._inverse_transform(shape, index, values, plan)
+    want = _ifftn_reference(shape, index, values)
+    assert S.shape == want.shape
+    # every |S| is at most sum |a_n|, the scale of the rounding
+    np.testing.assert_allclose(S, want, rtol=0, atol=1e-13 * np.abs(values).sum())
+    return plan
+
+
+@pytest.mark.parametrize("system, p, K, sig", [
+    (PARABOLA, 2, 6, (0, 0)),  # parabola-p2K6 of the benchmark, 262144 cells
+    (PARABOLA, 2, 8, (0, 1)),
+    (MOMENT3, 3, 2, (0, 0, 0)),
+    (MOMENT3, 3, 2, (0, 0, 1)),
+    (GAUSSIAN, 7, 1, (0, 0, 0, 0)),
+    (GAUSSIAN, 3, 2, (0, 0, 0, 1)),
+    (CUBE_ROOT_2, 3, 1, (0, 0, 0, 0, 0, 0)),
+    (CUBE_ROOT_2, 2, 2, (0, 0, 0, 0, 0, 1)),
+])
+def test_pruned_transform_matches_ifftn(system, p, K, sig):
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        "random-phase", IndexDomain.box(scale.N, system.dimension), seed=61)
+    cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
+    grid = _grid(system, coeffs, cells)
+    plan = _assert_transform_matches_ifftn(grid.moduli, grid._residues, grid.base)
+    assert plan is not None  # at least one pass runs pruned
+    assert [grid.moduli[j] for j in plan[0]] == sorted(grid.moduli)
+
+
+def test_pruned_transform_on_one_point_and_on_full_fibres():
+    rng = np.random.default_rng(67)
+    shape = (4, 9, 27, 81)
+    # one point: every pass keeps one fibre per cell of the axes before it
+    point = tuple(np.array([c]) for c in (3, 5, 11, 70))
+    plan = _assert_transform_matches_ifftn(shape, point, np.array([0.6 - 0.8j]))
+    assert [len(keep) for keep in plan[1]] == [1, 1, 1]
+    # a value on every cell fills every fibre: no pass prunes, and the
+    # transform is numpy's ifftn itself
+    index = tuple(np.indices(shape).reshape(len(shape), -1))
+    values = np.exp(2j * np.pi * rng.random(math.prod(shape)))
+    assert meanvalue._transform_passes(shape, index) is None
+    S = meanvalue._inverse_transform(shape, index, values, None)
+    assert np.array_equal(S, _ifftn_reference(shape, index, values))
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0, 2.5])
+@pytest.mark.parametrize("system, p, K, sig", [
+    (PARABOLA, 3, 2, (0, 0)),
+    (GAUSSIAN, 3, 1, (0, 0, 0, 0)),
+])
+def test_pruned_blocked_transform_within_its_bound_of_mpmath(monkeypatch, system, p,
+                                                            K, sig, r):
+    # small grids run the pruned passes and the blocked reduction when the
+    # gates' cell counts are lowered; blocks of 32 cells make 23 blocks
+    monkeypatch.setattr(meanvalue, "_PRUNE_CELLS", 64)
+    monkeypatch.setattr(meanvalue, "_BLOCKED_CELLS", 64)
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * 32)
+    scale = ScaleSpec(p=p, K=K)
+    coeffs = sample_coefficients(
+        "random-phase", IndexDomain.box(scale.N, system.dimension), seed=73)
+    cells = build_domain(scale, _sigma(*sig), system.degrees).cell_counts
+    grid = _grid(system, coeffs, cells)
+    assert meanvalue._transform_passes(grid.moduli, grid._residues) is not None
+    with mock.patch.object(exact, "_blocked_sums", wraps=exact._blocked_sums) as blocked:
+        report = padic_short_mv(system, [coeffs], r, scale, _sigma(*sig))[0]
+        assert blocked.call_count == 1
+    assert report.method == "padic-exact"
+    oracle = _mpmath_padic_mv(system, coeffs, r, scale, _sigma(*sig))
+    assert abs(report.value - oracle) <= report.quadrature_error_bound
+
+
 # --- even-r values of complex coefficients by the convolution --------------------
 
 def _mpmath_grid_mean(system, coeffs, r, moduli, prec=100):
@@ -676,6 +758,18 @@ def test_real_gauss_matches_grid_at_canonical_scale():
     assert err < 1e-6 * grid.value
 
 
+def test_real_gauss_bound_covers_its_rounding():
+    # mv-real --p 5 --K 2 --sigma 0,1/2 --r 4 --sampler all-ones: the exact
+    # value is 1225 (a 50-digit mpmath evaluation of the lattice double sum),
+    # and both Gauss levels round to 1225.0000000000002, so their gap is 0
+    scale = ScaleSpec(p=5, K=2)
+    ones = CoefficientVector.ones(IndexDomain.box(25, 1))
+    report = real_sparse_mv(PARABOLA, [ones], 4.0, scale, _sigma(0, Fraction(1, 2)))[0]
+    assert report.method == "real-gauss"
+    assert report.value == 1225.0000000000002
+    assert report.quadrature_error_bound >= abs(report.value - 1225) > 0
+
+
 def test_real_method_follows_sigma_exponent_and_budget(monkeypatch):
     # the exact grid runs only at sigma = 0 with an even integer r; every
     # other input runs Gauss cells
@@ -937,6 +1031,14 @@ def test_threads_do_not_change_values():
                                threads=threads)[0] for threads in (1, 2))
     assert one.method == "padic-convolution"
     assert repr(one) == repr(two)
+    # mv-padic --p 2 --K 6 --sigma 0,0 --r 5 takes the pruned transform and
+    # the blocked reduction, its two blocks on two threads
+    scale = ScaleSpec(p=2, K=6)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(64, 1), seed=23)
+    one, two = (padic_short_mv(PARABOLA, [coeffs], 5.0, scale, _sigma(0, 0),
+                               threads=threads)[0] for threads in (1, 2))
+    assert one.method == "padic-exact"
+    assert repr(one) == repr(two)
 
 
 def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
@@ -1024,14 +1126,14 @@ def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):
     terms = _gemm_terms(grid, 4.0, factors, rows)
     expected = [math.fsum(terms[:, j]) for j in range(V)]
     monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * V * rows)
-    original = meanvalue.extract_once
+    original = exact.extract_once
 
     def inflated(x, out=None):
         partials, bound, rest = original(x, out=out)
         bound[::2] = 2.0**600
         return partials, bound, rest
 
-    monkeypatch.setattr(meanvalue, "extract_once", inflated)
+    monkeypatch.setattr(exact, "extract_once", inflated)
     blocks = []
     original_block = _GridSum._power_block
 
