@@ -15,7 +15,12 @@ Convolution powers G = H^{*s} of a sparse histogram of integer key vectors
 have one engine (:func:`convolution_power`): each key vector is packed into
 one integer by mixed radix (Kronecker substitution), so adding keys is adding
 codes, and each convolution pass is an outer sum of codes and an outer
-product of weights, grouped by a sort and ``np.add.reduceat``.  Its weights
+product of weights, grouped by a sort and ``np.add.reduceat``.  The first
+pass, H * H, forms only the pairs i <= j and doubles the others' products.
+The sort packs each code and its row index into one int64 word where they
+fit, so a single np.sort yields both the order and the sorted codes; codes
+of several words are joined into one, ranking a word only where the joint
+code would pass 2^62.  Its weights
 are integer parts for the counts sum_h |G(h)|^2, which
 :func:`convolution_counts` forms with no floating point at all (Vinogradov
 counts, ``padic-count`` and ``real-count``), or complex for the even-r grid
@@ -27,6 +32,7 @@ and their moduli for a value without offsets (``padic-convolution`` and
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
@@ -43,6 +49,24 @@ _BLOCK_BYTES = 1 << 22
 #: Largest radix product packed into one int64 code word, so that the sum of
 #: two codes cannot overflow.
 _WORD_LIMIT = 1 << 62
+
+#: Fewest codes that _sorted_codes sorts as packed words: np.sort of one
+#: word per code against argsort and a gather of the codes.  The packed sort
+#: has a few more numpy calls, worth 3-4 us.  Timed on one core of a 2-core
+#: x86_64 machine with AVX-512 (numpy 2.4), _sort_reduce of n codes, about
+#: n/2 distinct, packed over argsort time (one int64 word with integer or
+#: two complex columns, or two words): 1.24-1.42 at n = 256, 1.10-1.18 at
+#: 512, 0.97-1.03 at 768, 0.96-0.99 at 1024, 0.84-0.92 at 1536, 0.71-0.86
+#: at 4096.
+_PACKED_SORT = 1024
+
+#: Fewest keys of H for which the first pass forms only the pairs i <= j.
+#: Its index arrays and gathers cost a few more numpy calls than an outer
+#: sum.  Timed as _PACKED_SORT, convolution_power at s = 2 of |H| random
+#: keys (integer weights acyclic and cyclic, complex weights cyclic), half
+#: over full pass time: 1.14-1.22 at |H| = 16, 0.94-1.08 at 32, 0.88-1.01
+#: at 48, 0.85-0.90 at 64, 0.59-0.78 at 128.
+_HALF_PASS = 48
 
 #: Sums of fewer terms are one math.fsum call.  Timed on one core of a
 #: 2-core x86_64 machine (numpy 2.4): fsum of a list takes 0.5 us for one
@@ -443,48 +467,95 @@ def _unpack(words, groups, radices) -> list[np.ndarray]:
     return digits
 
 
+def _packed_shift(code: np.ndarray) -> int | None:
+    """b, the bit length of n - 1 for n codes, when every code is a
+    non-negative int64 below 2^(62 - b), so that (code << b) | row fits one
+    int64 word; else None."""
+    shift = (len(code) - 1).bit_length()
+    # negative codes pass 2^63 as unsigned words
+    if code.dtype == np.int64 and code.view(np.uint64).max() >> (62 - shift) == 0:
+        return shift
+    return None
+
+
+def _sorted_codes(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The codes in ascending order and the permutation that sorts them.
+
+    From _PACKED_SORT codes on, codes that fit (:func:`_packed_shift`) are
+    sorted as one packed word each, (code << b) | row, by np.sort: the high
+    bits are the sorted codes and the low bits the permutation, rows of
+    equal codes in ascending order.  Other codes (fewer, wider, or Python
+    ints) take argsort.
+    """
+    shift = _packed_shift(code) if len(code) >= _PACKED_SORT else None
+    if shift is None:
+        order = code.argsort()
+        return code[order], order
+    packed = code << shift
+    packed |= np.arange(len(code))
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return packed, order
+
+
 def _rank(values: np.ndarray) -> tuple[np.ndarray, int]:
     """The rank of each value among the distinct values, and their number."""
-    order = np.argsort(values)
+    ordered, order = _sorted_codes(values)
     ranks = np.empty(len(values), dtype=np.int64)
-    ordered = values[order]
     ranks[order] = np.concatenate(([0], np.cumsum(ordered[1:] != ordered[:-1])))
     return ranks, int(ranks.max()) + 1
 
 
 def _joint_code(words: list[np.ndarray]) -> np.ndarray:
-    """One int64 code per row that is equal exactly where all words are."""
+    """One int64 code per row that is equal exactly where all words are and
+    orders the rows as their words do, first word first.
+
+    Words are non-negative int64.  Each word joins the code by mixed radix,
+    code * width + word with width its largest value + 1.  Only where that
+    product would pass 2^62 is the wider of the two replaced by its ranks
+    among its distinct values (one sort), and then the other if that is not
+    enough.  Ranks keep the order, so the code does too.
+    """
+    code = words[0]
     if len(words) == 1:
-        return words[0]
-    code, size = np.zeros(len(words[0]), dtype=np.int64), 1
-    for word in words:
-        rank, width = _rank(word)
-        if size * width > _WORD_LIMIT:
-            code, size = _rank(code)
-        code = code * width + rank
+        return code
+    size = int(code.max()) + 1
+    for word in words[1:]:
+        width = int(word.max()) + 1
+        # ranks each of the two at most once: n rows have at most n ranks,
+        # and n^2 < 2^62
+        while size * width > _WORD_LIMIT:
+            if size >= width:
+                code, size = _rank(code)
+            else:
+                word, width = _rank(word)
+        code = code * width + word
         size *= width
     return code
 
 
 def _sort_reduce(words, parts):
-    """Sum the weight parts over equal codes: one entry per distinct code.
+    """Sum the weight parts over equal codes: one entry per distinct code,
+    in ascending order of the codes (:func:`_joint_code` for several words).
 
     A part may carry trailing axes (one column per offset, say): rows are
     grouped and summed along its first axis.
     """
     if len(parts[0]) == 0:
         return words, parts
-    code = _joint_code(words)
-    order = code.argsort()
-    code = code[order]
+    code, order = _sorted_codes(_joint_code(words))
     new = np.empty(len(code), dtype=bool)
     new[0] = True
     np.not_equal(code[1:], code[:-1], out=new[1:])
     starts = new.nonzero()[0]
+    if len(words) == 1:  # the code is the word itself
+        words = [code[starts]]
+    else:
+        first = order[starts]
+        words = [word[first] for word in words]
     del code, new  # freed before the gathers below
-    first = order[starts]
-    return ([word[first] for word in words],
-            [np.add.reduceat(part[order], starts) for part in parts])
+    return words, [np.add.reduceat(part[order], starts) for part in parts]
 
 
 def _concat_reduce(pieces):
@@ -496,15 +567,24 @@ def _concat_reduce(pieces):
     return _sort_reduce(words, parts)
 
 
-def _outer_products(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    """Products of every weight of a with every weight of b, row-major; the
-    trailing axes of the parts (columns) multiply elementwise."""
-    def outer(x, y):
-        return (x[:, None] * y[None]).reshape((-1,) + x.shape[1:])
+def _products(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+    """The weights a times the weights b, broadcast: the real part's, or the
+    two parts of Gaussian products."""
     if len(b) == 1:
-        return [outer(a[0], b[0])]
-    return [outer(a[0], b[0]) - outer(a[1], b[1]),
-            outer(a[0], b[1]) + outer(a[1], b[0])]
+        return [a[0] * b[0]]
+    return [a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]]
+
+
+def _upper_pairs(lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j), i <= j < n, of the rows lo <= i < hi, row-major, as
+    index arrays, and the positions of the pairs (i, i) among them."""
+    rows = np.arange(lo, hi)
+    lengths = n - rows
+    diagonal = np.cumsum(lengths) - lengths
+    i = np.repeat(rows, lengths)
+    j = np.repeat(rows - diagonal, lengths)
+    j += np.arange(len(j))
+    return i, j, diagonal
 
 
 def convolution_counts(
@@ -569,7 +649,10 @@ def convolution_power(keys, parts, s: int, moduli=None, max_work=None):
     so the support never exceeds prod M_j.  Each of the s - 1 passes forms
     the outer sum of codes with H's and the outer product of parts, in
     chunks of about _BLOCK_BYTES, and merges the chunks by the same sort and
-    ``np.add.reduceat``.  Work is sum_t |H^{*t}| |H| over the passes.
+    ``np.add.reduceat``.  The passes form sum_{t=2}^{s-1} |H^{*t}| |H| pairs
+    after a first pass of |H|^2, or of |H| (|H| + 1) / 2 (the pairs i <= j,
+    :func:`_convolve`) from _HALF_PASS keys on; since |H^{*t}| <= min(|H|^t,
+    prod of the radices), that is at most the work bound W.
     """
     if s < 1:
         raise InvalidInputError(f"convolution power must be >= 1, got {s}")
@@ -626,39 +709,76 @@ def _convolution_work(support: int, s: int, cap: int) -> int:
     return work
 
 
+def _value_bytes(a: np.ndarray, h: np.ndarray, copies: int) -> int:
+    """Bytes per pair term of ``copies`` entries for a product of a value of
+    a and one of h.  A Python int (object arrays) is a pointer per entry and
+    one int object as wide as the product of the widest values of a and h."""
+    entries = copies * a[:1].nbytes
+    if a.dtype != object:
+        return entries
+    bits = int(np.abs(a).max()).bit_length() + int(np.abs(h).max()).bit_length()
+    return entries + sys.getsizeof(1 << bits)
+
+
 def _convolve(acc, hist, hist_digits, groups, radices):
     """One pass acc * H, chunked over the rows of acc (convolution_power).
 
     With H's digits the pass is cyclic: digit sums are folded mod the radix.
-    A pair term takes 16 bytes per code word and 16 for its sort order, and
-    its parts' row twice, as the product and as its sorted copy.
+    The first pass, H * H, forms only the pairs i <= j once |H| reaches
+    _HALF_PASS, with the products of the pairs i < j doubled: the products
+    t_i t_j and t_j t_i are the same number, in floating point the same
+    bits, so twice one is exactly their sum.  A pair term takes 16 bytes
+    per code word and 16 for its sort order, and per part two entries, its
+    product and the sorted copy (:func:`_value_bytes`).  In a first pass of
+    pairs i <= j it takes 16 more for its two indices, and a third entry,
+    since each product forms from two gathered operands.
     """
     acc_words, acc_parts = acc
     hist_words, hist_parts = hist
-    width = len(hist_parts[0])
-    term_bytes = 16 * len(acc_words) + 16 + 2 * sum(p[:1].nbytes for p in acc_parts)
-    rows = max(1, _BLOCK_BYTES // (term_bytes * width))
+    n, width = len(acc_parts[0]), len(hist_parts[0])
+    half = acc is hist and width >= _HALF_PASS
+    term_bytes = 16 * len(acc_words) + 16 + 16 * half + sum(
+        _value_bytes(a, h, 2 + half) for a, h in zip(acc_parts, hist_parts))
+    block = max(1, _BLOCK_BYTES // (term_bytes * width)) * width
     if hist_digits is not None:
         acc_digits = hist_digits if acc is hist else _unpack(acc_words, groups, radices)
-    pieces, size, merged = [], 0, 0
-    for lo in range(0, len(acc_parts[0]), rows):
-        hi = lo + rows
+    pieces, size, merged, lo = [], 0, 0, 0
+    while lo < n:
+        # a chunk's rows hold at most a block of pair terms: width each, or
+        # at most width - lo from row lo on in a first pass of pairs i <= j
+        hi = min(n, lo + max(1, block // (width - lo if half else width)))
+        # the operands of the pair terms are acc[left] and H[right]:
+        # broadcast rows lo..hi against all of H, or index arrays
+        if half:
+            left, right, diagonal = _upper_pairs(lo, hi, width)
+        else:
+            left, right = (slice(lo, hi), None), None
         if hist_digits is not None:
             digits = []
             for a, h, m in zip(acc_digits, hist_digits, radices):
-                d = np.add.outer(a[lo:hi], h).ravel()
+                d = (a[left] + h[right]).reshape(-1)
                 d %= m
                 digits.append(d)
             words = _pack(digits, groups, radices)
         else:
-            words = [np.add.outer(a[lo:hi], h).ravel()
+            words = [(a[left] + h[right]).reshape(-1)
                      for a, h in zip(acc_words, hist_words)]
-        parts = _outer_products([part[lo:hi] for part in acc_parts], hist_parts)
+        parts = _products([a[left] for a in acc_parts], [h[right] for h in hist_parts])
+        parts = [part.reshape((-1,) + acc_parts[0].shape[1:]) for part in parts]
+        del left, right
+        if half:
+            rows = [part[lo:hi] for part in acc_parts]
+            squares = _products(rows, rows)
+            for part, square in zip(parts, squares):
+                part *= 2
+                part[diagonal] = square
         pieces.append(_sort_reduce(words, parts))
+        del words, parts
         size += len(pieces[-1][1][0])
         # merge once the pieces pass a block and twice the last merge, so
         # memory stays near one block and the merges near linear total work
-        if size > max(rows * width, 2 * merged):
+        if size > max(block, 2 * merged):
             pieces = [_concat_reduce(pieces)]
             size = merged = len(pieces[0][1][0])
+        lo = hi
     return _concat_reduce(pieces)

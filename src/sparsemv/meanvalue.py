@@ -558,8 +558,9 @@ class _GridSum:
         4 (W + fixed) <= T and at least ``columns`` term columns fit one
         chunk of the engine: each pass over an offset column block is one
         chunk of exact._convolve, where a pair takes 32 bytes and 32 more per
-        column.  ``fixed`` is the engine's cost per call in pairs, 0 where
-        its calls share a block of offsets.  A value without offsets needs
+        column (48 and 48 in a first pass of pairs i <= j, which forms about
+        half as many).  ``fixed`` is the engine's cost per call in pairs, 0
+        where its calls share a block of offsets.  A value without offsets needs
         no column to fit (``columns`` = 0): the engine chunks its passes
         itself.
         """
@@ -698,7 +699,12 @@ def _convolved_value(view: _GridSum, plan: _Convolution, normalise) -> tuple[flo
     coefficients, and on its way to G(h) it meets at most c - 1 additions in
     the histogram (c the largest class of points sharing a key), then per
     pass one complex product (within sqrt(2) gamma_2 < 3 u) and at most
-    |H| - 1 additions, since at most |H| pairs land on one key.  So the
+    |H| - 1 additions, since at most |H| pairs land on one key.  A first
+    pass of the pairs i <= j doubles the product t_i t_j for i < j, which
+    is exact and equals the sum of the two rounded products t_i t_j and
+    t_j t_i (the same bits): each doubled term stands for two terms of
+    Gc(h) with the error of one product, and a key sums fewer terms, so
+    its additions stay at most |H| - 1.  So the
     computed G(h) is within gamma_K Gc(h) of G(h), K = c - 1 + (s - 1)(|H| +
     2), and the reported value, whose terms are products of two such sums
     further rounded by |G|^2 (two roundings), the sum (correctly rounded),

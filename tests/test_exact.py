@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -566,3 +567,181 @@ def test_convolution_chunks_count_the_offset_columns(monkeypatch):
     for j in range(64):  # keys 0..49 summed in pairs: a plain convolution
         np.testing.assert_allclose(G[:, j], np.convolve(weights[:, j], weights[:, j]),
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_python_int_weights_chunk_by_their_size(monkeypatch):
+    # 400 keys 0..399 with weights near 2^70: each of the 80200 pair terms
+    # of the first pass holds a Python int of about 140 bits, several times
+    # the 8 bytes of its pointer, so chunks are sized by the ints' bytes
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 1 << 18)
+    rng = np.random.default_rng(6)
+    weights = np.array([(1 << 70) + int(x) for x in rng.integers(0, 1000, 400)],
+                       dtype=object)
+    tracemalloc.start()
+    try:
+        G = exact.convolution_power([np.arange(400)], [weights], 2)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * exact._BLOCK_BYTES  # 1.7 blocks measured; 4 sized by pointers
+    assert G.tolist() == np.convolve(weights, weights).tolist()
+
+
+def _sorted_rows(monkeypatch) -> list[int]:
+    """Wrap exact._sort_reduce: the rows of each call that is not a merge of
+    pieces, that is the histogram's first and every pass chunk."""
+    rows = []
+    sort_reduce, concat_reduce = exact._sort_reduce, exact._concat_reduce
+
+    def counting(words, parts):
+        rows.append(len(parts[0]))
+        return sort_reduce(words, parts)
+
+    def merging(pieces):
+        with mock.patch.object(exact, "_sort_reduce", sort_reduce):
+            return concat_reduce(pieces)
+
+    monkeypatch.setattr(exact, "_sort_reduce", counting)
+    monkeypatch.setattr(exact, "_concat_reduce", merging)
+    return rows
+
+
+@pytest.mark.parametrize("moduli", [None, (5, 7, 9, 11)])
+def test_passes_form_at_most_the_work_bound(monkeypatch, moduli):
+    # random keys, and the moment curve (x, ..., x^k) with k >= s, whose
+    # sums of s keys are all distinct (Sidon type); the first pass forms
+    # only the pairs i <= j (its floor lowered so that 12 keys take it)
+    monkeypatch.setattr(exact, "_HALF_PASS", 2)
+    rows = _sorted_rows(monkeypatch)
+    rng = np.random.default_rng(7)
+    n = 12
+    x = np.arange(n)
+    for s in (2, 3, 4):
+        moment = [x**e for e in range(1, s + 1)]
+        for keys in (moment, list(rng.integers(-4, 5, (3, n)))):
+            weights = rng.choice([-2, -1, 1, 3], n)
+            k = len(keys)
+            rows.clear()
+            G = exact.convolution_power(keys, [weights], s,
+                                        None if moduli is None else moduli[:k])
+            if moduli is None:
+                cap = math.prod(s * (int(c.max()) - int(c.min())) + 1 for c in keys)
+                support = len({tuple(key) for key in zip(*keys)})
+            else:
+                cap = math.prod(moduli[:k])
+                support = len({tuple(c % m for c, m in zip(key, moduli))
+                               for key in zip(*keys)})
+            assert rows[0] == n  # the histogram
+            assert rows[1] == support * (support + 1) // 2  # one chunk, i <= j
+            assert sum(rows[1:]) <= exact._convolution_work(support, s, cap)
+            key_rows = [list(map(int, key)) for key in zip(*keys)]
+            assert int(np.dot(G[0], G[0])) == _dict_convolution_count(
+                key_rows, weights.tolist(), s, None if moduli is None else moduli[:k])
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_codes_at_the_packed_word_limit(monkeypatch, over):
+    # 60 keys: a first pass of 1830 pairs i <= j, so b = 11 index bits; the
+    # cyclic codes reach M - 1 (the pair of digits 0 and M - 1), which is
+    # 2^51 - 1 and fits one packed word, or 2^51, which takes argsort
+    M = 2**51 + over
+    rng = np.random.default_rng(8)
+    digits = np.concatenate(([0, M - 1], rng.integers(1, M - 1, 58)))
+    weights = rng.choice([-2, -1, 1, 3], 60)
+    packed_shift, shifts = exact._packed_shift, {}
+
+    def recording(code):
+        shifts[len(code)] = packed_shift(code)
+        return shifts[len(code)]
+
+    monkeypatch.setattr(exact, "_packed_shift", recording)
+    assert convolution_counts([digits], weights, 2, [M]) == \
+        _dict_convolution_count([[int(d)] for d in digits], weights.tolist(), 2, [M])
+    assert shifts == {1830: None if over else 11}
+
+
+@pytest.mark.parametrize("wide_first", [True, False])
+def test_two_word_codes_rank_only_the_wide_word(monkeypatch, wide_first):
+    # radices of about 2^57 and 2^11 take two code words whose joint code
+    # would pass 2^62: the wide one is ranked, as the accumulated code when
+    # it comes first and as the word when it comes second
+    rng = np.random.default_rng(9)
+    wide, narrow = rng.integers(0, 2**56, 60), rng.integers(0, 2**10, 60)
+    words = [wide, narrow] if wide_first else [narrow, wide]
+    rank, ranked = exact._rank, []
+
+    def spying(values):
+        ranked.append(values)
+        return rank(values)
+
+    monkeypatch.setattr(exact, "_rank", spying)
+    code = exact._joint_code(words)
+    assert len(ranked) == 1 and ranked[0] is wide
+    # equal exactly where both words are, in the words' order
+    np.testing.assert_array_equal(np.argsort(code, kind="stable"),
+                                  np.lexsort(words[::-1]))
+    monkeypatch.undo()
+    weights = rng.choice([-2, -1, 1, 3], 60)
+    keys = [[int(a), int(b)] for a, b in zip(*words)]
+    assert convolution_counts(words, weights, 2) == \
+        _dict_convolution_count(keys, weights.tolist(), 2)
+
+
+def test_python_int_codes_take_the_first_pass_of_pairs_i_le_j():
+    # one axis past 2^62: Python-int codes, sorted by argsort, in a first
+    # pass of pairs i <= j (50 keys)
+    keys = [[n**13 + 7 * n] for n in range(50)]
+    weights = [(-1) ** n * (n % 5 + 1) for n in range(50)]
+    assert convolution_counts(np.array(keys, dtype=object).T, weights, 2) == \
+        _dict_convolution_count(keys, weights, 2)
+
+
+@pytest.mark.parametrize("moduli", [None, (257,)])
+def test_offset_columns_on_the_first_pass_of_pairs_i_le_j(monkeypatch, moduli):
+    # 200 keys with 4 complex columns: 20100 pairs i <= j of 208 bytes in
+    # chunks of a 256 KB block, against np.convolve (folded mod 257 for the
+    # cyclic pass); the chunks count the index arrays and the two gathered
+    # operands of each product
+    monkeypatch.setattr(exact, "_BLOCK_BYTES", 1 << 18)
+    rng = np.random.default_rng(10)
+    weights = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+    tracemalloc.start()
+    try:
+        G = exact.convolution_power([np.arange(200)], [weights], 2, moduli)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.4 blocks measured; 1.9 without the operands, 2.2 forming all pairs
+    assert peak < 1.6 * exact._BLOCK_BYTES
+    expected = np.array([np.convolve(weights[:, j], weights[:, j]) for j in range(4)]).T
+    if moduli is not None:
+        expected = np.array([expected[t::257].sum(axis=0) for t in range(257)])
+    np.testing.assert_allclose(G, expected, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_convolution_case())
+def test_convolution_counts_match_dict_loop_on_packed_sorts_and_half_passes(case):
+    # the packed sort and the first pass of pairs i <= j at any size
+    k, keys, weights, s, moduli = case
+    axes = np.array(keys, dtype=np.int64).reshape(len(keys), k).T
+    with mock.patch.object(exact, "_PACKED_SORT", 1), \
+            mock.patch.object(exact, "_HALF_PASS", 1):
+        got = convolution_counts(axes, np.array(weights), s, moduli)
+    assert got == _dict_convolution_count(keys, weights, s, moduli)
+
+
+def test_counts_do_not_depend_on_the_block_size_or_the_floors(monkeypatch):
+    rng = np.random.default_rng(12)
+    keys = rng.integers(-20, 20, (2, 70))
+    weights = rng.integers(-2, 3, 70) + 1j * rng.integers(-2, 3, 70)
+    cases = [(3, None), (3, (7, 9)), (2, None)]
+    expected = [convolution_counts(keys, weights, s, moduli) for s, moduli in cases]
+    for floor in (None, 1):  # the module's floors, then every path at any size
+        if floor:
+            monkeypatch.setattr(exact, "_PACKED_SORT", floor)
+            monkeypatch.setattr(exact, "_HALF_PASS", floor)
+        for block in (1, 3000):  # one row of pairs per chunk, then a few
+            monkeypatch.setattr(exact, "_BLOCK_BYTES", block)
+            assert [convolution_counts(keys, weights, s, moduli)
+                    for s, moduli in cases] == expected
