@@ -13,14 +13,14 @@ a single math.fsum call, which gives the same bits for less fixed cost.
 
 Convolution powers G = H^{*s} of a sparse histogram of integer key vectors
 have one engine (:func:`convolution_power`): each key vector is packed into
-one integer by mixed radix (Kronecker substitution), so adding keys is adding
-codes, and each convolution pass is an outer sum of codes and an outer
-product of weights, grouped by a sort and ``np.add.reduceat``.  The first
-pass, H * H, forms only the pairs i <= j and doubles the others' products.
-The sort packs each code and its row index into one int64 word where they
-fit, so a single np.sort yields both the order and the sorted codes; codes
-of several words are joined into one, ranking a word only where the joint
-code would pass 2^62.  Its weights
+one integer by mixed radix (Kronecker substitution), so adding keys is
+adding codes, and each convolution pass is an outer sum of codes and an
+outer product of weights, grouped by a sort and summed per group in the
+order of ``np.add.reduceat``.  The first pass, H * H, forms only the pairs
+i <= j and doubles the others' products.  The sort packs each code and its
+row index into one int64 word where they fit, so a single np.sort yields
+both the order and the sorted codes; codes of several words are joined into
+one, ranking a word only where the joint code would pass 2^62.  Its weights
 are integer parts for the counts sum_h |G(h)|^2, which
 :func:`convolution_counts` forms with no floating point at all (Vinogradov
 counts, ``padic-count`` and ``real-count``), or complex for the even-r grid
@@ -67,6 +67,17 @@ _PACKED_SORT = 1024
 #: over full pass time: 1.14-1.22 at |H| = 16, 0.94-1.08 at 32, 0.88-1.01
 #: at 48, 0.85-0.90 at 64, 0.59-0.78 at 128.
 _HALF_PASS = 48
+
+#: Fewest columns, and fewest sums (segments x columns), of a part whose
+#: segment sums _segment_sums forms by gathered row adds.  Their index work
+#: and gathers cost a few more numpy calls than reduceat, which pays per
+#: segment and column.  Timed as _PACKED_SORT on complex parts of 3 to 3000
+#: rows and 1 to 8192 columns, segments of 1 to 2, 3 or 4 rows, row adds over
+#: reduceat time: 1.8-15 below 1000 sums, 0.8-2.7 at 1000-4095, and from
+#: 4096 sums 0.7-1.4 with 4 columns, 0.2-0.9 with 8 or more (0.25-0.38 at
+#: 9 rows x 8192 columns).
+_ROW_COLUMNS = 8
+_ROW_SUMS = 4096
 
 #: Sums of fewer terms are one math.fsum call.  Timed on one core of a
 #: 2-core x86_64 machine (numpy 2.4): fsum of a list takes 0.5 us for one
@@ -146,22 +157,41 @@ def extract_once(
     underflows to 0 only where every partial sum is subnormal, hence exact.
     A zero column has E = 0.  A column that extract_partials yields whole
     has hi = 0, its terms as the remainder and E = inf.
+
+    A finite, non-negative block (every mean value's |S|^r or |G|^2) takes
+    one sigma from the block's maximum, a scalar that its add and subtract
+    broadcast without a row of sigmas: a larger sigma than a column's own
+    keeps the extraction exact and the analysis above, with E from the
+    block's e.  Its bound is 0 where hi = tail = 0, which for terms >= 0
+    happens only on a zero column: every q >= 0, so hi = 0 forces q = 0, and
+    a float sum of non-negative remainders is 0 only when all of them are.
+    Signed blocks, blocks with a nan or inf and blocks too large for one
+    sigma take the per-column sigmas.
     """
     log_m = (len(x) + 1).bit_length()
-    mu = np.maximum(x.max(axis=0), -x.min(axis=0))
-    whole = ~(mu < 2.0 ** (1023 - log_m))  # not finite, or sigma would not be
-    e = np.frexp(np.where(whole, 0.0, mu))[1]
+    limit = 2.0 ** (1023 - log_m)  # sigma is finite for mu below it
+    top = x.max()
+    per_column = not (top < limit and x.min() >= 0.0)  # True for nan
+    if per_column:
+        mu = np.maximum(x.max(axis=0), -x.min(axis=0))
+        whole = ~(mu < limit)  # not finite, or sigma would not be
+        e = np.frexp(np.where(whole, 0.0, mu))[1]
+    else:
+        e = math.frexp(top)[1]
     sigma = np.ldexp(1.0, e + log_m)
     q = np.add(x, sigma, out=out)
     q -= sigma
-    if whole.any():
+    if per_column and whole.any():
         np.copyto(q, 0.0, where=whole)
     hi = q.sum(axis=0)
     rest = np.subtract(x, q, out=q)
     with np.errstate(over="ignore", invalid="ignore"):  # terms of whole columns
         tail = rest.sum(axis=0)
-    bound = np.ldexp(np.where(whole, np.inf, mu != 0.0), e + 3 * log_m - 105)
-    return np.array([hi, tail]), bound, rest
+    if per_column:
+        scale = np.where(whole, np.inf, mu != 0.0)
+    else:  # 0 exactly on the zero columns (see above)
+        scale = np.where((hi != 0.0) | (tail != 0.0), 1.0, 0.0)
+    return np.array([hi, tail]), np.ldexp(scale, e + 3 * log_m - 105), rest
 
 
 def _fsum(terms: list[float]) -> float:
@@ -540,7 +570,7 @@ def _sort_reduce(words, parts):
     in ascending order of the codes (:func:`_joint_code` for several words).
 
     A part may carry trailing axes (one column per offset, say): rows are
-    grouped and summed along its first axis.
+    grouped and summed along its first axis (:func:`_segment_sums`).
     """
     if len(parts[0]) == 0:
         return words, parts
@@ -555,7 +585,37 @@ def _sort_reduce(words, parts):
         first = order[starts]
         words = [word[first] for word in words]
     del code, new  # freed before the gathers below
-    return words, [np.add.reduceat(part[order], starts) for part in parts]
+    return words, [_segment_sums(part, order, starts) for part in parts]
+
+
+def _segment_sums(part: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """np.add.reduceat(part[order], starts), bit for bit.
+
+    reduceat sums a segment a_0, ..., a_(L-1) of rows as a_0 + (a_1 + ... +
+    a_(L-1)), the bracket by numpy's pairwise summation, which adds in
+    sequence while it holds fewer than 8 doubles per column: L <= 8 float64
+    rows, or L <= 4 complex128 rows.  When every segment is that short and
+    the part has at least _ROW_COLUMNS columns and _ROW_SUMS sums, the rows
+    are gathered and added in that order, one row of every segment at a
+    time, which skips reduceat's inner loop per segment and column.  Other
+    parts, 1-d ones among them (counts and histograms), take reduceat.
+    """
+    columns = math.prod(part.shape[1:])
+    if part.ndim == 1 or columns < _ROW_COLUMNS or len(starts) * columns < _ROW_SUMS:
+        return np.add.reduceat(part[order], starts)
+    lengths = np.diff(starts, append=len(order))
+    longest = int(lengths.max())
+    if (longest - 1) * part.itemsize >= 64:
+        return np.add.reduceat(part[order], starts)
+    out = part[order[starts]]
+    if longest > 1:
+        segs = np.flatnonzero(lengths > 1)
+        rest = part[order[starts[segs] + 1]]
+        for k in range(2, longest):
+            more = np.flatnonzero(lengths[segs] > k)
+            rest[more] += part[order[starts[segs[more]] + k]]
+        out[segs] += rest
+    return out
 
 
 def _concat_reduce(pieces):
@@ -648,11 +708,12 @@ def convolution_power(keys, parts, s: int, moduli=None, max_work=None):
     never carries, or M_j (cyclic), folding digits mod M_j after every pass,
     so the support never exceeds prod M_j.  Each of the s - 1 passes forms
     the outer sum of codes with H's and the outer product of parts, in
-    chunks of about _BLOCK_BYTES, and merges the chunks by the same sort and
-    ``np.add.reduceat``.  The passes form sum_{t=2}^{s-1} |H^{*t}| |H| pairs
-    after a first pass of |H|^2, or of |H| (|H| + 1) / 2 (the pairs i <= j,
-    :func:`_convolve`) from _HALF_PASS keys on; since |H^{*t}| <= min(|H|^t,
-    prod of the radices), that is at most the work bound W.
+    chunks of about _BLOCK_BYTES, each summed over equal codes by
+    :func:`_sort_reduce`, which also merges the chunks.  The passes form
+    sum_{t=2}^{s-1} |H^{*t}| |H| pairs after a first pass of |H|^2, or of
+    |H| (|H| + 1) / 2 (the pairs i <= j, :func:`_convolve`) from _HALF_PASS
+    keys on; since |H^{*t}| <= min(|H|^t, prod of the radices), that is at
+    most the work bound W.
     """
     if s < 1:
         raise InvalidInputError(f"convolution power must be >= 1, got {s}")

@@ -82,7 +82,6 @@ from .exact import (
     _convolution_work,
     convolution_counts,
     convolution_power,
-    fsum_rows,
     modulus_power,
     root_table,
     tree_sum,
@@ -847,12 +846,13 @@ def _real_gauss(
 
     Each level's offsets, weights and offset factors are built once, and
     every vector runs one per-offset pass on them; a level's value is
-    fsum(w_v * sum_v).  Only scalars are kept per vector, so memory does not
-    grow with the number of vectors.  Returns (value, error, max of the fine
-    per-offset sums) per vector, and the number of fine offsets.  The error
-    is the gap between the levels plus the fine level's rounding estimate
-    (:func:`_rounding_estimate`), so it is not 0 where the two levels round
-    alike.
+    fsum(w_v * sum_v) bit for bit, by one extraction round from
+    exact._FSUM_TERMS offsets on.  Only scalars are kept per vector, so
+    memory does not grow with the number of vectors.  Returns (value,
+    error, max of the fine per-offset sums) per vector, and the number of
+    fine offsets.  The error is the gap between the levels plus the fine
+    level's rounding estimate (:func:`_rounding_estimate`), so it is not 0
+    where the two levels round alike.
     """
     max_abs = [max(abs(v) for v in vals) for vals in grid.phase_vals]
     widths = [2 * h for h in domain.cell_halfwidths]
@@ -873,7 +873,7 @@ def _real_gauss(
         values, tops = [], []
         for coeffs in vectors:
             sums = grid.view(coeffs).per_offset_power_sum(r, factors)
-            values.append(fsum_rows(weights * sums))
+            values.append(exact._total(weights * sums))
             tops.append(sums.max())
         levels.append(values)
     prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))

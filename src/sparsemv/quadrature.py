@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +40,13 @@ class QuadratureConfig:
             raise InvalidInputError(f"quadrature depth must be >= 0, got {self.depth}")
 
 
+@lru_cache(maxsize=8)
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1]."""
-    return np.polynomial.legendre.leggauss(order)
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: one rule per
+    order is computed (an eigen-solve) and shared by every caller."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def quarter_period_depths(

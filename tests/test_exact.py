@@ -398,6 +398,84 @@ def test_one_round_bounds_of_zero_and_whole_columns():
     assert rows[:, 3].tolist() == [3.0, 0.0] and 0.0 < bound[3] < 2.0**-90
 
 
+@st.composite
+def _non_negative_block(draw):
+    """A finite block of terms >= 0 whose columns lie up to 2^70 below the
+    block's maximum, some of them zero, with full mantissas or few bits."""
+    n = draw(st.sampled_from([1, 2, 3, 9, 64, 1000]))
+    width = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.integers(-1070, 1000 - n.bit_length()))
+    x = rng.random((n, width))
+    if draw(st.booleans()):
+        x = np.round(x * 8) / 8  # few bits: exact sums, ties among them
+    x = np.ldexp(x, top - rng.integers(0, 71, width))
+    x[:, rng.random(width) < 0.2] = 0.0
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(_non_negative_block())
+def test_one_round_on_a_non_negative_block(x):
+    # one sigma for the block: the extraction is exact and the tail within
+    # a power-of-two bound, 0 exactly on the zero columns
+    rows, bound, rest = extract_once(x.copy())
+    assert rows.shape == (2, x.shape[1]) and rest.shape == x.shape
+    for j, col in enumerate(x.T.tolist()):
+        rest_sum = sum(map(Fraction, rest[:, j].tolist()))
+        hi, tail, e = float(rows[0, j]), float(rows[1, j]), float(bound[j])
+        assert Fraction(hi) + rest_sum == sum(map(Fraction, col))
+        assert abs(Fraction(tail) - rest_sum) <= Fraction(e)
+        assert e == 0.0 or math.frexp(e)[0] == 0.5
+        if not any(col):
+            assert e == hi == tail == 0.0
+    assert len(set(bound[bound != 0].tolist())) <= 1  # one E for the block
+    sums = exact._column_sums(x)
+    assert sums.tolist() == [math.fsum(col) for col in x.T.tolist()]
+
+
+def test_one_round_fast_path_and_per_column_fallbacks():
+    # six columns over 1000 rows: random terms below 1, a zero column, a
+    # column at 2^-60 of the block's maximum, and two columns whose exact
+    # totals are rounding ties, 999 + u/2 (rounded down to even) and 1001 +
+    # 3u/2 (rounded up to even), u the ulp of both
+    rng = np.random.default_rng(91)
+    x = np.empty((1000, 6))
+    x[:, 0] = rng.random(1000)
+    x[:, 1] = 0.0
+    x[:, 2] = np.ldexp(rng.random(1000), -60)
+    x[:, 3] = 1.0
+    x[0, 3] = math.ulp(1000.0) / 2
+    x[:, 4] = 1.0
+    x[0, 4] = 2.0 + math.ulp(1001.0) * 1.5
+    x[:, 5] = rng.random(1000)
+    expected = [math.fsum(col) for col in x.T.tolist()]
+    assert expected[3:5] == [999.0, 1001.0 + 2 * math.ulp(1001.0)]
+    rows, bound, _ = extract_once(x.copy())
+    E = bound[0]
+    assert bound.tolist() == [E, 0.0, E, E, E, E]  # one E, 0 on the zero column
+    # the small column and the ties are left open, and fall back
+    assert certified(rows, bound)[1].tolist() == [True, True, False, False, False, True]
+    assert exact._column_sums(x).tolist() == expected
+    for j in range(6):
+        assert tree_sum(x[:, j]) == expected[j]
+    # one negative term, or a nan: every column takes its own sigma
+    for bad in (-(2.0**-70), math.nan):
+        y = x.copy()
+        y[7, 0] = bad
+        rows, bound, rest = extract_once(y.copy())
+        per_column = np.array([extract_once(y[:, [j]].copy())[1][0] if j else bound[0]
+                               for j in range(6)])
+        assert bound[1] == 0.0 and bound[2] < 2.0**-50 * E
+        np.testing.assert_array_equal(bound, per_column)
+        sums = exact._column_sums(y)
+        assert sums[1:].tolist() == expected[1:]
+        if math.isnan(bad):
+            assert math.isnan(sums[0])
+        else:
+            assert sums[0] == math.fsum(y[:, 0].tolist())
+
+
 def test_certified_needs_both_ends_to_round_alike():
     partials = np.array([[3.0, 3.0], [2.0**-52, 2.0**-53]])
     sums, ok = certified(partials, np.array([2.0**-60, 2.0**-60]))
@@ -604,6 +682,54 @@ def _sorted_rows(monkeypatch) -> list[int]:
     monkeypatch.setattr(exact, "_sort_reduce", counting)
     monkeypatch.setattr(exact, "_concat_reduce", merging)
     return rows
+
+
+@st.composite
+def _segmented_part(draw):
+    """A part of float64, complex128 or int64 rows with 1, 2 or 8192
+    columns, a row order and segment starts, segments of 1 to 10 rows."""
+    dtype = draw(st.sampled_from([np.float64, np.complex128, np.int64]))
+    columns = draw(st.sampled_from([1, 2, 8192]))
+    lengths = draw(st.lists(st.integers(1, 10), min_size=1,
+                            max_size=4 if columns == 8192 else 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    if dtype is np.int64:
+        part = rng.integers(-2**62, 2**62, (n, columns))  # sums wrap around
+    else:
+        # magnitudes over 60 binades, so that the order of the adds shows
+        part = np.ldexp(rng.standard_normal((n, columns)),
+                        rng.integers(-30, 30, (n, columns)))
+        if dtype is np.complex128:
+            part = part + 1j * np.ldexp(rng.standard_normal((n, columns)), 20)
+        part[rng.random((n, columns)) < 0.05] = -0.0
+    starts = np.cumsum(lengths) - lengths
+    return part, rng.permutation(n), starts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_segmented_part(), st.booleans())
+def test_segment_sums_equal_reduceat_bit_for_bit(case, floors):
+    # row adds where every segment is short enough, reduceat past that: at
+    # the module's floors, or at floors of 1 that send every part of short
+    # segments to the row adds
+    part, order, starts = case
+    expected = np.add.reduceat(part[order], starts)
+    with pytest.MonkeyPatch.context() as mp:
+        if floors:
+            mp.setattr(exact, "_ROW_COLUMNS", 1)
+            mp.setattr(exact, "_ROW_SUMS", 1)
+        got = exact._segment_sums(part, order, starts)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_segment_sums_bracket_the_rows_after_the_first():
+    # reduceat forms a + (b + c): here 1 + (2^53 - 2^53) = 1, where the
+    # sum from the left, (1 + 2^53) - 2^53, is 0
+    part = np.array([[1.0], [2.0**53], [-(2.0**53)]]).repeat(8192, axis=1)
+    order, starts = np.arange(3), np.array([0])
+    got = exact._segment_sums(part, order, starts)
+    assert got.tolist() == np.add.reduceat(part, starts).tolist() == [[1.0] * 8192]
 
 
 @pytest.mark.parametrize("moduli", [None, (5, 7, 9, 11)])

@@ -44,7 +44,7 @@ from sparsemv.numberfield import (
     parabola_system,
 )
 from sparsemv.padic import ScaleSpec
-from sparsemv.quadrature import QuadratureConfig, tensor_offsets
+from sparsemv.quadrature import QuadratureConfig, gauss_rule, tensor_offsets
 
 PARABOLA = parabola_system()
 MOMENT3 = moment_curve(3)
@@ -1039,6 +1039,15 @@ def test_threads_do_not_change_values():
                                threads=threads)[0] for threads in (1, 2))
     assert one.method == "padic-exact"
     assert repr(one) == repr(two)
+
+
+def test_gauss_rule_is_one_read_only_rule_per_order():
+    nodes, weights = gauss_rule(5)
+    assert gauss_rule(5)[0] is nodes and gauss_rule(5)[1] is weights
+    expected = np.polynomial.legendre.leggauss(5)
+    assert [nodes.tolist(), weights.tolist()] == [a.tolist() for a in expected]
+    with pytest.raises(ValueError):
+        weights *= 2  # shared by every caller
 
 
 def test_chunking_and_threads_do_not_change_offset_sums(monkeypatch):
