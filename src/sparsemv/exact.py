@@ -5,11 +5,13 @@ only when :func:`root_table` turns them into points e(t/m) on the unit
 circle.  Every large reduction takes one round of error-free extraction,
 which numpy forms without rounding, plus a float sum of the remainder with a
 power-of-two error bound, and rounds the two once with math.fsum's
-algorithm.  When the bound leaves
-the rounding open, the remaining extraction rounds run on the remainder.  So
-each total is the correctly rounded sum of its terms and does not depend on
-their order or on how the work was chunked or parallelised.  A short sum is
-a single math.fsum call, which gives the same bits for less fixed cost.
+algorithm.  When the bound leaves the rounding open, full extraction runs on
+those columns' terms.  So each total is the correctly rounded sum of its
+terms and does not depend on their order or on how the work was chunked or
+parallelised.  One routine, :func:`_blocked_sums`, does this for blocks of
+terms formed on demand, and an array is its one-block case; a short sum
+there is a single math.fsum call, which gives the same bits for less fixed
+cost.
 
 Convolution powers G = H^{*s} of a sparse histogram of integer key vectors
 have one engine (:func:`convolution_power`): each key vector is packed into
@@ -93,7 +95,7 @@ _FSUM_TERMS = 512
 #: columns past the float range (which extraction passes on whole) have more.
 _VECTOR_ROWS = 16
 
-#: Most columns that _column_sums sums one column at a time (see there).
+#: Most columns of a block that _blocked_sums sums one at a time (see there).
 _FEW_COLUMNS = 4
 
 
@@ -280,87 +282,87 @@ def certified(partials: np.ndarray, bound: np.ndarray) -> tuple:
     return upper, upper == lower
 
 
-def _total(values: np.ndarray) -> float:
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if len(x) < _FSUM_TERMS:
-        return _fsum(x.tolist())
-    rows, bound, rest = extract_once(x)
-    total, ok = certified(rows, bound)
-    if ok:
-        return total
-    return _fsum([float(rows[0])] + extract_partials(rest).tolist())
+def _column_sums(x: np.ndarray) -> float | np.ndarray:
+    """math.fsum down axis 0 of a 1-d or 2-d float64 x, bit for bit, as the
+    one block of :func:`_blocked_sums`.  x is only read."""
+    return _blocked_sums([x], lambda x, work: (x, None), lambda: None)
 
 
-def _column_sums(x: np.ndarray) -> np.ndarray:
-    """math.fsum down each column of a 2-d float64 x, bit for bit: one
-    extraction round and its certificate, full extraction for the columns it
-    leaves open.  x is only read.
+def _blocked_sums(blocks: list, terms, buffers, threads: int = 1) -> float | np.ndarray:
+    """math.fsum down axis 0 of the terms of all blocks together, bit for
+    bit: a float for 1-d terms, else one sum per column.
 
-    Up to _FEW_COLUMNS columns are summed one at a time by :func:`_total`,
-    which gives the same bits.  Timed on one core of a 2-core x86_64 machine
-    (numpy 2.4), the vectorised round with its certificate costs 150-280 us
-    on one to four columns of 9 to 600 rows, one column at a time 4-140 us;
-    at 5000 and 50000 rows it took 160-7000 us against 40-800 us."""
-    if not len(x):
-        return np.zeros(x.shape[1])
-    if x.shape[1] <= _FEW_COLUMNS:
-        return np.array([_total(col) for col in x.T], dtype=np.float64)
-    rows, bound, _ = extract_once(x)
-    sums, ok = certified(rows, bound)
-    if not ok.all():
-        sums[~ok] = fsum_rows(extract_partials(x[:, ~ok]))
-    return sums
+    ``terms(block, buf)`` forms one block's terms as a 1-d or 2-d float64
+    array in the work space ``buf`` and returns them with a scratch array of
+    the same shape or None; ``buffers()`` allocates the work space of one
+    worker.  Workers take contiguous runs of the blocks on up to ``threads``
+    threads, each through the work space it allocates once.  Each block
+    takes one round of :func:`extract_once`: its [hi, tail] rows fold
+    exactly into a few rows of partials, and its bounds E_b add up to at
+    most 2^ceil(log2 B) max_b E_b over the B blocks.  Columns this bound
+    does not certify rerun the same blocks with full extraction.  Either way
+    the sums depend on neither the thread count nor the order or size of
+    the blocks.
 
-
-def _blocked_sums(blocks: list, terms, buffers, threads: int = 1) -> np.ndarray:
-    """math.fsum down each column of the terms of all blocks together, bit
-    for bit, with one extraction round per block.
-
-    ``terms(block, buf)`` forms one block's terms as a 2-d float64 array in
-    the work space ``buf`` and returns them with a scratch array of the same
-    shape; ``buffers()`` allocates the work space of one worker.  Workers
-    take contiguous runs of the blocks on up to ``threads`` threads, each
-    through the work space it allocates once.  Each block takes one round
-    of :func:`extract_once`: its [hi, tail] rows fold exactly into a few
-    rows of partials, and its bounds E_b add up to at most
-    2^ceil(log2 B) max_b E_b over the B blocks.  Columns this bound does not
-    certify rerun the same blocks with full extraction.  Either way the sums
-    depend on neither the thread count nor the order or size of the blocks.
+    A single block's terms are formed once.  Fewer than _FSUM_TERMS of them
+    in 1-d are one math.fsum call, and up to _FEW_COLUMNS columns are summed
+    one at a time, which gives the same bits.  Timed on one core of a 2-core
+    x86_64 machine (numpy 2.4), the vectorised round with its certificate
+    costs 150-280 us on one to four columns of 9 to 600 rows, one column at
+    a time 4-140 us; at 5000 and 50000 rows it took 160-7000 us against
+    40-800 us.
     """
-    workers = min(threads, len(blocks))
-    runs = [blocks[w * len(blocks) // workers:(w + 1) * len(blocks) // workers]
-            for w in range(workers)]
-    jobs = [(run, buffers()) for run in runs]
+    if len(blocks) == 1:
+        x, scratch = terms(blocks[0], buffers())
+        if x.ndim == 1 and len(x) < _FSUM_TERMS:
+            return _fsum(x.tolist())
+        if x.ndim == 2 and (x.shape[1] <= _FEW_COLUMNS or not len(x)):
+            return np.array([_column_sums(col) for col in np.ascontiguousarray(x.T)])
 
-    def fold(pieces) -> tuple[np.ndarray, np.ndarray]:
-        # several pieces' rows as one, taken down to their exact partials
-        # past two pieces' worth, so that the certificate sums a few rows
-        pieces = list(pieces)
-        rows = np.concatenate([rows for rows, _ in pieces])
-        if len(rows) > 4:
-            rows = extract_partials(rows)
-        return rows, np.max([bound for _, bound in pieces], axis=0)
+        def reduced(columns: np.ndarray | None) -> tuple:
+            return _piece(x, scratch, columns)
+    else:
+        workers = min(threads, len(blocks))
+        jobs = [(blocks[w * len(blocks) // workers:(w + 1) * len(blocks) // workers],
+                 buffers()) for w in range(workers)]
 
-    def reduced(one_round: bool) -> tuple[np.ndarray, np.ndarray]:
-        def run(job) -> tuple[np.ndarray, np.ndarray]:
-            pieces = []
-            for block in job[0]:
-                x, scratch = terms(block, job[1])
-                if one_round:
-                    pieces.append(extract_once(x, out=scratch)[:2])
-                else:
-                    pieces.append((extract_partials(x), np.zeros(x.shape[1])))
-                if len(pieces) == 8:  # holds a few rows per column
-                    pieces = [fold(pieces)]
-            return fold(pieces)
+        def fold(pieces: list) -> tuple:
+            # several pieces' rows as one, taken down to their exact partials
+            # past two pieces' worth, so that the certificate sums a few rows
+            rows = np.concatenate([rows for rows, _ in pieces])
+            if len(rows) > 4:
+                rows = extract_partials(rows)
+            return rows, np.max([bound for _, bound in pieces], axis=0)
 
-        return fold(_map_threads(run, jobs, threads))
+        def reduced(columns: np.ndarray | None) -> tuple:
+            def run(job) -> tuple:
+                pieces = []
+                for block in job[0]:
+                    pieces.append(_piece(*terms(block, job[1]), columns))
+                    if len(pieces) == 8:  # holds a few rows per column
+                        pieces = [fold(pieces)]
+                return fold(pieces)
 
-    partials, bound = reduced(one_round=True)
-    sums, ok = certified(partials, np.ldexp(bound, (len(blocks) - 1).bit_length()))
-    if not ok.all():
-        sums[~ok] = fsum_rows(reduced(one_round=False)[0][:, ~ok])
-    return sums
+            return fold(_map_threads(run, jobs, threads))
+
+    partials, bound = reduced(None)
+    sums, ok = certified(partials, bound * 2 ** (len(blocks) - 1).bit_length())
+    if ok is True or np.all(ok):  # a 1-d sum's ok is a bool
+        return sums
+    sums, ok = np.atleast_1d(sums, ok)
+    sums[~ok] = fsum_rows(reduced(np.flatnonzero(~ok))[0])
+    return sums if partials.ndim == 2 else float(sums[0])
+
+
+def _piece(x: np.ndarray, scratch: np.ndarray | None, columns: np.ndarray | None) -> tuple:
+    """One block's rows of partials and their bound: one round of
+    :func:`extract_once` (``columns`` None), or full extraction of a copy of
+    the given columns (1-d x is one column).  x is only read."""
+    if columns is None:
+        return extract_once(x, out=scratch)[:2]
+    part = None if scratch is None else scratch.reshape(len(x), -1)[:, :len(columns)]
+    part = np.take(x.reshape(len(x), -1), columns, axis=1, out=part)
+    return extract_partials(part), 0.0
 
 
 def _map_threads(fn, items: list, threads: int) -> list:
@@ -376,14 +378,15 @@ def tree_sum(values: np.ndarray | Iterable) -> complex | float:
 
     It depends neither on the order of the elements nor on any chunking or
     parallel partitioning of them.  Complex input is summed part by part.
-    Fewer than _FSUM_TERMS terms go to math.fsum itself.  For longer input
-    one extraction round and the certificate of :func:`certified` settle
-    almost every sum; the rest finish the extraction on the remainder.
+    Each sum is the one block of :func:`_blocked_sums`: fewer than
+    _FSUM_TERMS terms go to math.fsum itself, and for longer input one
+    extraction round and the certificate of :func:`certified` settle almost
+    every sum; the rest run full extraction.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(list(values))
     if np.iscomplexobj(arr):
-        return complex(_total(arr.real), _total(arr.imag))
-    return _total(arr)
+        return complex(tree_sum(arr.real), tree_sum(arr.imag))
+    return _column_sums(np.asarray(arr, dtype=np.float64).ravel())
 
 
 def modulus_power(abs_squared: np.ndarray, r: float) -> np.ndarray:

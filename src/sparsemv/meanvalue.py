@@ -102,11 +102,9 @@ SAMPLER_NAMES = ("all-ones", "single-point", "random-phase", "random-sparse")
 #: offset-free value pays against the transform (see _offset_free_reports).
 _CONVOLUTION_FIXED = 1024
 
-#: Most cells of a grid whose transform is one np.fft.ifftn call, and of
-#: one whose |S|^r are one tree_sum: the measured break-evens of the pruned
-#: passes and of the blocked reduction (see _transform_power_sum).
+#: Most cells of a grid whose transform is one np.fft.ifftn call: the
+#: measured break-even of the pruned passes (see _transform_power_sum).
 _PRUNE_CELLS = 16384
-_BLOCKED_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -308,29 +306,29 @@ def _transform_power_sum(
     histogram (:func:`_inverse_transform`), correctly rounded.
 
     A grid of more than _PRUNE_CELLS cells runs the pruned passes that
-    :func:`_transform_passes` finds worth it, else one np.fft.ifftn call.  A
-    grid of at most _BLOCKED_CELLS cells takes |S|^2 and |S|^r as whole
-    arrays and one :func:`exact.tree_sum`.  A larger one takes them and one
-    extraction round block by block over S in :func:`exact._blocked_sums`,
-    on ``threads`` threads.  A block's slice of S and its two float buffers
-    (32 bytes per cell, as a block of the offset GEMM at one offset) fill
-    exact._BLOCK_BYTES, and there are at least two blocks, so one worker's
-    buffers take at most half of S's 16 bytes per cell.  Either way the sum
-    is the correctly rounded sum of the |S|^r; the pruned passes move S
-    itself by rounding.
+    :func:`_transform_passes` finds worth it, else one np.fft.ifftn call.
+    Then every grid takes |S|^2, |S|^r and one extraction round block by
+    block over S in :func:`exact._blocked_sums`, on ``threads`` threads.  A
+    block holds at most exact._BLOCK_BYTES // 64 = 65536 cells, so a
+    grid of up to that many is one block, which under exact._FSUM_TERMS
+    cells is one math.fsum call.  One worker's two float buffers take 16
+    bytes per cell of its block (1 MB at most), and a full extraction one
+    block of floats more.  The sum is the correctly rounded sum of the
+    |S|^r; the pruned passes move S itself by rounding.
 
-    Both floors and the pass rule are measured.  A pruned pass cost about
-    2.2 times as much per gathered cell as a full pass per cell, plus some
-    10 us, so it runs where it skips at least twice the cells it gathers.
-    On 28 grids under 4096 cells the passes cost 1.9 times one ifftn
-    (median), and from 16384 to 65536 cells the blocks cost 0.6 to 1.6
-    times one tree_sum, depending on whether the process's allocator maps
-    tree_sum's arrays afresh.  Timed against one ifftn and one tree_sum on
-    144 grids (the four systems of the test suite, p = 2, 3, 5, 7, T from
-    27 to 14348907, sigma 0 and the last axis localized by 1, r = 3; random
-    phases on the domain's points, and up to T = 531441 a random value on
-    every cell, which leaves no fibre to skip; interleaved on one core of a
-    2-core x86_64 machine, numpy 2.4), as time over that time:
+    The floor, the pass rule and the block size are measured.  A pruned
+    pass cost about 2.2 times as much per gathered cell as a full pass per
+    cell, plus some 10 us, so it runs where it skips at least twice the
+    cells it gathers.  On 28 grids under 4096 cells the passes cost 1.9
+    times one ifftn (median).  Timed against one ifftn and one whole-array
+    tree_sum of |S|^r on 144 grids (the four systems of the test suite, p =
+    2, 3, 5, 7, T from 27 to 14348907, sigma 0 and the last axis localized
+    by 1, r = 3; random phases on the domain's points, and up to T = 531441
+    a random value on every cell, which leaves no fibre to skip;
+    interleaved on one core of a 2-core x86_64 machine, numpy 2.4), as time
+    over that time, where the ``sum`` column gives the reduction of that
+    measurement (one whole-array tree_sum up to 65536 cells, above it
+    blocks of 131072 cells or half the grid):
 
         T                 transform  sum       values  grids  median  range
         27-16384          ifftn      tree_sum  both      78    1.02    0.99-1.10
@@ -342,46 +340,41 @@ def _transform_power_sum(
         1048576-14348907  pruned     blocks    points    11    0.42    0.30-0.70
 
     At T = 14348907 (parabola p = 3, K = 5, sigma 0) that was 0.35, and the
-    peak fell from 24 to 16 bytes per cell.
+    peak fell from 24 to 16 bytes per cell.  On grids of 131072 and 262144
+    cells with a random value on every cell (r = 3, medians of 11
+    interleaved runs on the same machine), blocks of 65536 cells took 0.70
+    to 1.00 times as long as blocks of 131072 cells, and 0.87 to 1.01 times
+    as long as blocks of 32768.
     """
     cells = math.prod(shape)
-    block = min(exact._BLOCK_BYTES // 32, -(-cells // 2))
+    block = min(exact._BLOCK_BYTES // 64, cells)
     plan = None
     try:
         plan = _transform_passes(shape, index)
         S = np.ravel(_inverse_transform(shape, index, values, plan), order="K")
-        if cells <= _BLOCKED_CELLS:
-            parts = S.view(np.float64)  # re, im interleaved
-            parts *= parts
-            a2 = parts[0::2] + parts[1::2]
-            del S, parts
-            power = modulus_power(a2, r)
-            del a2
-            return tree_sum(power)
 
         def terms(bounds: tuple[int, int], buf) -> tuple[np.ndarray, np.ndarray]:
             lo, hi = bounds
-            parts = S[lo:hi].view(np.float64)
-            x, scratch = buf[0, :hi - lo], buf[1, :hi - lo]
-            np.multiply(parts[0::2], parts[0::2], out=x)
-            x += np.multiply(parts[1::2], parts[1::2], out=scratch)
-            exact._power_into(x, r, x, scratch)
-            return x[:, None], scratch[:, None]
+            x, scratch = buf[0][:hi - lo], buf[1][:hi - lo]
+            np.square(S[lo:hi].real, out=x)
+            x += np.square(S[lo:hi].imag, out=scratch)
+            return exact._power_into(x, r, x, scratch), scratch
 
+        # two arrays, not one of twice the size: on a grid of 15625 cells
+        # glibc's malloc mapped that one afresh on every call (counterexample
+        # p = 5 took 414 minor faults per run against 180)
         blocks = [(lo, min(lo + block, cells)) for lo in range(0, cells, block)]
-        return float(exact._blocked_sums(blocks, terms, lambda: np.empty((2, block)),
-                                         threads)[0])
+        return exact._blocked_sums(blocks, terms, lambda: (np.empty(block), np.empty(block)),
+                                   threads)
     except MemoryError:
         # S, and the larger of the cells that the last (largest) pruned pass
-        # gathers and the reduction's work space: |S|^2 on a small grid, else
-        # two blocks of floats per worker and one more in a full extraction
+        # gathers and the reduction's work space: two blocks of floats per
+        # worker and one more in a full extraction
         gathered = 0
         if plan is not None:
             order, keeps = plan
             gathered = math.prod(shape[j] for j in order[:len(keeps)]) * len(keeps[-1])
-        work = 8 * cells
-        if cells > _BLOCKED_CELLS:
-            work = 24 * block * min(threads, -(-cells // block))
+        work = 24 * block * min(threads, -(-cells // block))
         needed = 16 * cells + max(16 * gathered, work)
         raise BudgetExceededError(
             f"grid transform over {cells} cells needs about {needed} "
@@ -873,7 +866,7 @@ def _real_gauss(
         values, tops = [], []
         for coeffs in vectors:
             sums = grid.view(coeffs).per_offset_power_sum(r, factors)
-            values.append(exact._total(weights * sums))
+            values.append(_column_sums(weights * sums))
             tops.append(sums.max())
         levels.append(values)
     prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))

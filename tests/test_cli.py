@@ -211,8 +211,8 @@ def test_out_of_memory_in_pruned_transform_exits_3(tmp_path, capsys, monkeypatch
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    # S, and the reduction's work space of one worker: blocks of 131072 cells
-    needed = 16 * 262144 + 24 * 131072
+    # S, and the reduction's work space of one worker: blocks of 65536 cells
+    needed = 16 * 262144 + 24 * 65536
     assert "262144 cells" in lines[0] and f"{needed} bytes" in lines[0]
 
 

@@ -310,23 +310,62 @@ def test_fsum_rows_matches_fsum_per_column(columns):
 
 
 @st.composite
-def _short_columns(draw):
-    k = draw(st.integers(1, 16))
+def _long_column(draw, k):
+    """k seeded terms of one kind: mixed signs over 80 binades, terms >= 0,
+    signed zeros, ones of one sign with a rounding tie of their total or a
+    total just beside one, or a nan or inf among normal terms."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixed", "non-negative", "zero", "tie", "special"]))
+    if kind == "mixed":
+        return np.ldexp(rng.standard_normal(k), rng.integers(-40, 40, k)).tolist()
+    if kind == "non-negative":
+        return rng.random(k).tolist()
+    if kind == "zero":
+        return rng.choice([0.0, -0.0], k).tolist()
+    if kind == "special":
+        x = rng.standard_normal(k)
+        count = draw(st.integers(1, 2))
+        x[rng.integers(0, k, count)] = rng.choice([math.nan, math.inf, -math.inf], count)
+        return x.tolist()
+    sign = rng.choice([1.0, -1.0])
+    x = np.full(k, sign)
+    i, j = rng.choice(k, 2, replace=False)
+    x[i] += sign * rng.choice([1.0, -1.0]) * math.ulp(float(k)) / 2  # a tie ...
+    x[j] += rng.choice([0.0, 0.0, ULP, -ULP])  # ... or beside one
+    return x.tolist()
+
+
+@st.composite
+def _sum_columns(draw):
+    k = draw(st.one_of(st.integers(1, 16), st.sampled_from([exact._FSUM_TERMS - 1,
+                                                            exact._FSUM_TERMS])))
     column = st.lists(_TERMS, min_size=k, max_size=k)
     if k >= 3:
         column = st.one_of(column, _near_tie(k))
-    return draw(st.lists(column, min_size=1, max_size=12))
+    if k > 16:
+        column = _long_column(k)
+    count = draw(st.one_of(st.sampled_from([1, exact._FEW_COLUMNS, exact._FEW_COLUMNS + 1]),
+                           st.integers(1, 12)))
+    return draw(st.lists(column, min_size=count, max_size=count))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_short_columns())
-def test_column_sums_match_fsum_per_column(columns):
+@settings(max_examples=300, deadline=None)
+@given(_sum_columns(), st.booleans())
+def test_column_sums_match_fsum_per_column(columns, flat):
     # one extraction round, its certificate and full extraction of the
-    # open columns: math.fsum per column on few rows and many
+    # open columns: math.fsum per column on few rows and many, on both
+    # sides of the short sum's 512 terms and of the few columns' 4; a
+    # single column also as a 1-d array
     x = np.array(columns, dtype=np.float64).T
+    if flat and len(columns) == 1:
+        x = x[:, 0]
     before = x.copy()
     sums = exact._column_sums(x)
     np.testing.assert_array_equal(x, before)  # only read
+    if x.ndim == 1:
+        assert isinstance(sums, float)
+        sums = np.array([sums])
+    assert sums.shape == (len(columns),)
     for got, col in zip(sums.tolist(), columns):
         assert _same_float(got, _fsum_oracle(col)), col
 
@@ -515,8 +554,8 @@ def test_tree_sum_falls_back_when_the_bound_is_huge(kind, n, seed):
         calls = _counting_fallback(mp)
         original = exact.extract_once
 
-        def inflated(x):
-            rows, bound, rest = original(x)
+        def inflated(x, **kw):
+            rows, bound, rest = original(x, **kw)
             return rows, bound + 2.0**600, rest
 
         mp.setattr(exact, "extract_once", inflated)

@@ -410,10 +410,9 @@ def test_pruned_transform_on_one_point_and_on_full_fibres():
 ])
 def test_pruned_blocked_transform_within_its_bound_of_mpmath(monkeypatch, system, p,
                                                             K, sig, r):
-    # small grids run the pruned passes and the blocked reduction when the
-    # gates' cell counts are lowered; blocks of 32 cells make 23 blocks
+    # small grids run the pruned passes when the gate's cell count is
+    # lowered; blocks of 16 cells make 46 blocks
     monkeypatch.setattr(meanvalue, "_PRUNE_CELLS", 64)
-    monkeypatch.setattr(meanvalue, "_BLOCKED_CELLS", 64)
     monkeypatch.setattr(exact, "_BLOCK_BYTES", 32 * 32)
     scale = ScaleSpec(p=p, K=K)
     coeffs = sample_coefficients(
@@ -427,6 +426,43 @@ def test_pruned_blocked_transform_within_its_bound_of_mpmath(monkeypatch, system
     assert report.method == "padic-exact"
     oracle = _mpmath_padic_mv(system, coeffs, r, scale, _sigma(*sig))
     assert abs(report.value - oracle) <= report.quadrature_error_bound
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("r, inflated", [(3.0, False), (4.0, False), (3.0, True)])
+@pytest.mark.parametrize("shape, block_bytes, blocks", [
+    ((9, 27), None, 1),  # one block of 243 terms: one math.fsum call
+    ((27, 81), None, 1),  # one block of 2187 terms: one extraction round
+    ((27, 81), 64 * 256, 9),  # blocks of 256 cells, the last of 139
+    ((8, 16384), None, 2),  # blocks of 65536 cells
+])
+def test_transform_power_sum_equals_fsum_of_ifftn(monkeypatch, shape, block_bytes,
+                                                   blocks, r, inflated, threads):
+    # a value on every cell, so that no pass prunes and S is numpy's ifftn
+    # itself: the sum is math.fsum of its |S|^r, bit for bit, by one call of
+    # the blocked reduction at every grid size, also when no bound certifies
+    # it and every block reruns with full extraction
+    if block_bytes is not None:
+        monkeypatch.setattr(exact, "_BLOCK_BYTES", block_bytes)
+    if inflated:
+        original = exact.extract_once
+
+        def loose(x, out=None):
+            partials, bound, rest = original(x, out=out)
+            return partials, bound + 2.0**600, rest
+
+        monkeypatch.setattr(exact, "extract_once", loose)
+    rng = np.random.default_rng(79)
+    index = tuple(np.indices(shape).reshape(len(shape), -1))
+    values = np.exp(2j * np.pi * rng.random(math.prod(shape)))
+    assert meanvalue._transform_passes(shape, index) is None
+    S = _ifftn_reference(shape, index, values).ravel()
+    a2 = S.real * S.real + S.imag * S.imag
+    power = a2 * np.sqrt(a2) if r == 3.0 else a2 * a2
+    with mock.patch.object(exact, "_blocked_sums", wraps=exact._blocked_sums) as blocked:
+        got = meanvalue._transform_power_sum(shape, index, values, r, threads)
+    assert blocked.call_count == 1 and len(blocked.call_args.args[0]) == blocks
+    assert got == math.fsum(power.tolist())
 
 
 # --- even-r values of complex coefficients by the convolution --------------------

@@ -6,7 +6,9 @@ outside its own ``def`` or ``class``, in a library module other than
 comments and tests do not count, so a function that only tests call fails.
 ``__init__.py`` (re-exports) and ``cli.py`` (command functions reached through
 click's decorators) define nothing checked here.  Every name in the package's
-``__all__`` is imported by a demo, the benchmark harness or a test.
+``__all__`` is imported by a demo, the benchmark harness or a test.  Every
+private top-level function, class and assigned constant is read in the
+library itself, outside its own definition.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ def _name_uses(tree) -> Counter:
     """How often each name is read as an ast.Name or ast.Attribute in tree."""
     uses = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             uses[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             uses[node.attr] += 1
     return uses
 
@@ -74,3 +76,32 @@ def test_every_exported_name_is_imported():
                     and [t.id for t in node.targets] == ["__all__"])
     assert len(exported) > 20  # the walk found __all__
     assert sorted(set(exported) - imported) == []
+
+
+def _private_definitions(trees):
+    """(path, name, node) for every private top-level function, class and
+    assigned name, node its definition."""
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield path, name, node
+
+
+def test_every_private_definition_is_read_in_the_library():
+    # a leftover constant, or an alias kept only for tests, fails
+    library = _trees(sorted(PACKAGE.glob("*.py")))
+    uses = sum(map(_name_uses, library.values()), Counter())
+    definitions = list(_private_definitions(library))
+    assert len(definitions) > 40  # the walk found the library
+    unread = [f"{path.stem}.{name}" for path, name, node in definitions
+              if uses[name] == _name_uses(node)[name]]
+    assert unread == []
