@@ -19,10 +19,9 @@ import click
 from . import counterexample as cx
 from . import csvio, vinogradov
 from .domains import LocalizationVector, build_domain, emit_cell_csv
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InvalidInputError
 from .meanvalue import (
     SAMPLER_NAMES,
-    CoefficientVector,
     IndexDomain,
     epsilon_factors,
     estimate_restriction_constant,
@@ -153,28 +152,37 @@ def _out_path(out: str | None, command: str) -> Path:
     return base / f"{command}.csv"
 
 
-def _load_coeffs(sampler, seed, draw, coeffs_file, domain) -> CoefficientVector:
-    if coeffs_file is not None:
-        return csvio.load_coefficients_csv(coeffs_file)
-    return sample_coefficients(sampler, domain, seed, draw)
+def _index_box(N: int, d: int, budget: int) -> IndexDomain:
+    """The index box [0, N)^d that samplers draw from; its N^d points are
+    checked against the budget before any of them is built."""
+    if N**d > budget:
+        raise BudgetExceededError(
+            f"index box has {N**d} points, exceeding budget {budget}",
+            requested=N**d,
+            budget=budget,
+        )
+    return IndexDomain.box(N, d)
 
 
-def _coefficient_source(sampler, seed, coeffs_file) -> tuple[str, object, dict]:
-    """The sampler and seed columns of a row, and the config entries, that
-    name where the coefficients came from: a file overrides the sampler and
-    the seed, so neither is recorded then."""
+def _coefficients(sampler, seed, draws, coeffs_file, scale, system, budget):
+    """The coefficient vectors, the sampler and seed columns of their rows,
+    and the config entries that name where they came from: a file gives one
+    vector and overrides the sampler and the seed, so neither is recorded
+    then; else the sampler draws ``draws`` vectors on the index box."""
     if coeffs_file is not None:
-        return "file", "", {"coeffs_file": coeffs_file}
-    return sampler, seed, {"sampler": sampler, "seed": seed}
+        coeffs = csvio.load_coefficients_csv(coeffs_file)
+        return [coeffs], "file", "", {"coeffs_file": coeffs_file}
+    domain = _index_box(scale.N, system.dimension, budget)
+    vectors = [sample_coefficients(sampler, domain, seed, draw)
+               for draw in range(draws)]
+    return vectors, sampler, seed, {"sampler": sampler, "seed": seed}
 
 
 def _mv_context(minpoly, k, p, K, sigma_text):
-    poly = MinimalPolynomial.parse(minpoly)
-    system = expand_trace_phase(poly, k)
+    system = expand_trace_phase(MinimalPolynomial.parse(minpoly), k)
     scale = ScaleSpec(p=p, K=K)
     sigma = LocalizationVector(tuple(parse_rational_list(sigma_text)))
-    domain = IndexDomain.box(scale.N, system.dimension)
-    return poly, system, scale, sigma, domain
+    return system, scale, sigma
 
 
 def _show_help(ctx: click.Context, param, value):
@@ -259,7 +267,7 @@ def phase_system(minpoly, k, out, threads):
 @click.option("--K", "K", type=int, required=True)
 @click.option("--degrees", required=True, help="comma list of component degrees")
 @click.option("--sigma", required=True, help="comma list of rationals")
-@click.option("--budget", type=int, default=10**8, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @common_options
 def domain_cells(p, K, degrees, sigma, budget, out, threads):
     """Enumerate the cells of a sparse domain to CSV."""
@@ -284,7 +292,8 @@ def _mv_common_options(fn):
     fn = click.option("--sigma", required=True)(fn)
     fn = click.option("--r", type=float, required=True)(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--budget", type=int, default=10**8, show_default=True)(fn)
+    fn = click.option("--budget", type=int, default=DEFAULT_BUDGET,
+                      show_default=True)(fn)
     return fn
 
 
@@ -311,11 +320,10 @@ def _mv_row(command, scale, sigma_text, r, sampler, seed, value, denominator,
             denominator, _ratio(value, denominator), error_bound]
 
 
-def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, coeffs_file,
+def _emit_mv_row(path, command, scale, sigma, r, sampler, seed, source,
                  report, coeffs, extra_config=None) -> float:
     """Write the one-row CSV of mv-padic or mv-real; returns its ratio."""
     sigma_text = ",".join(str(s) for s in sigma.sigma)
-    sampler, seed, source = _coefficient_source(sampler, seed, coeffs_file)
     row = _mv_row(command, scale, sigma_text, r, sampler, seed, report.value,
                   coeffs.ell_r(r), report.quadrature_error_bound)
     config = {"command": command, "p": scale.p, "K": scale.K,
@@ -333,13 +341,14 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
              out, threads):
     """p-adic short mean value: an exact count for even r and Gaussian-integer
     coefficients, else the exact cell-grid sum by transform."""
-    _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
-    coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
-    report, = padic_short_mv(system, [coeffs], r, scale, sig,
+    system, scale, sig = _mv_context(minpoly, k, p, K, sigma)
+    vectors, sampler, seed, source = _coefficients(
+        sampler, seed, 1, coeffs_file, scale, system, budget)
+    report, = padic_short_mv(system, vectors, r, scale, sig,
                              budget=budget, threads=threads)
     path = _out_path(out, "mv-padic")
-    ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed,
-                         coeffs_file, report, coeffs)
+    ratio = _emit_mv_row(path, "mv-padic", scale, sig, r, sampler, seed, source,
+                         report, vectors[0])
     _echo(
         f"mv-padic: value={report.value!r} ratio={ratio!r} "
         f"method={report.method} -> {path}"
@@ -356,15 +365,16 @@ def mv_padic(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
 def mv_real(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file, budget,
             quad_order, quad_depth, out, threads):
     """Real sparse mean value by cell quadrature (or exact sampling at sigma=0)."""
-    _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
-    coeffs = _load_coeffs(sampler, seed, 0, coeffs_file, domain)
+    system, scale, sig = _mv_context(minpoly, k, p, K, sigma)
+    vectors, sampler, seed, source = _coefficients(
+        sampler, seed, 1, coeffs_file, scale, system, budget)
     quad = QuadratureConfig(order=quad_order, depth=quad_depth)
-    report, = real_sparse_mv(system, [coeffs], r, scale, sig, quad,
+    report, = real_sparse_mv(system, vectors, r, scale, sig, quad,
                              budget=budget, threads=threads)
     path = _out_path(out, "mv-real")
     extra = {"quad_order": quad_order, "quad_depth": quad_depth}
-    _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed, coeffs_file,
-                 report, coeffs, extra_config=extra)
+    _emit_mv_row(path, "mv-real", scale, sig, r, sampler, seed, source,
+                 report, vectors[0], extra_config=extra)
     _echo(
         f"mv-real: value={report.value!r} err<={report.quadrature_error_bound!r} "
         f"method={report.method} -> {path}"
@@ -385,15 +395,14 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
     """Verify real <= sup-of-modulated-p-adic per coefficient vector (exit 2 on failure)."""
     if vectors < 1:
         raise InvalidInputError(f"--vectors must be >= 1, got {vectors}")
-    _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
-    row_sampler, row_seed, source = _coefficient_source(sampler, seed, coeffs_file)
+    system, scale, sig = _mv_context(minpoly, k, p, K, sigma)
+    coeff_list, row_sampler, row_seed, source = _coefficients(
+        sampler, seed, vectors, coeffs_file, scale, system, budget)
     quad = QuadratureConfig(order=quad_order, depth=quad_depth)
     rows = []
     failures = 0
     sigma_text = ",".join(str(s) for s in sig.sigma)
-    n_vectors = 1 if coeffs_file is not None else vectors
-    coeff_list = [_load_coeffs(sampler, seed, draw, coeffs_file, domain)
-                  for draw in range(n_vectors)]
+    n_vectors = len(coeff_list)
     reports = transfer_check(system, coeff_list, r, scale, sig, quad=quad, tol=tol,
                              budget=budget, threads=threads)
     for draw, (coeffs, rep) in enumerate(zip(coeff_list, reports)):
@@ -428,8 +437,9 @@ def transfer_check_cmd(minpoly, k, p, K, sigma, r, sampler, seed, coeffs_file,
 def restriction_estimate(minpoly, k, p, K, sigma, r, seed, budget, side, samplers,
                          draws, out, threads):
     """Sampled lower bounds for the optimal restriction constants."""
-    _, system, scale, sig, domain = _mv_context(minpoly, k, p, K, sigma)
+    system, scale, sig = _mv_context(minpoly, k, p, K, sigma)
     sampler_list = _parse_samplers(samplers)
+    domain = _index_box(scale.N, system.dimension, budget)
     sides = ["padic", "real"] if side == "both" else [side]
     sigma_text = ",".join(str(s) for s in sig.sigma)
     rows = []
@@ -476,7 +486,7 @@ def restriction_estimate(minpoly, k, p, K, sigma, r, seed, budget, side, sampler
 @click.option("--r", type=float, required=True)
 @click.option("--samplers", default=",".join(SAMPLER_NAMES), show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=10**8, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @common_options
 def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
     """Parabola sparse mean-value ratios against the small-cap envelope
@@ -496,7 +506,7 @@ def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
         scale = ScaleSpec(p=p, K=K)
         N = scale.N
         est = estimate_restriction_constant(
-            system, IndexDomain.box(N, 1), r, scale,
+            system, _index_box(N, 1, budget), r, scale,
             LocalizationVector((Fraction(0), sigma_value)), samplers=sampler_list,
             draws=1, seed=seed, budget=budget, threads=threads,
         )
@@ -524,7 +534,7 @@ def corollary_ratio(p, K_list, sigma, r, samplers, seed, budget, out, threads):
               show_default=True)
 @click.option("--transcendental", is_flag=True, default=False,
               help="count with a formal (transcendental) generator")
-@click.option("--budget", type=int, default=10**8, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @common_options
 def vinogradov_cmd(minpoly, d, s, k, N_list, method, transcendental, budget,
                    out, threads):
@@ -559,7 +569,7 @@ def vinogradov_cmd(minpoly, d, s, k, N_list, method, transcendental, budget,
 @click.option("--s", "s", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--N", "N_list", required=True, help="comma list of >= 3 scales")
-@click.option("--budget", type=int, default=10**8, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @common_options
 def vinogradov_fit(minpoly, s, k, N_list, budget, out, threads):
     """Fit the growth exponent of J against the counting-bound envelope."""
@@ -590,7 +600,7 @@ def vinogradov_fit(minpoly, s, k, N_list, budget, out, threads):
 @click.option("--p", type=int, required=True)
 @click.option("--kmax", type=int, required=True)
 @click.option("--r", "r_list", required=True, help="comma list of exponents")
-@click.option("--budget", type=int, default=10**8, show_default=True)
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @common_options
 def counterexample_cmd(p, kmax, r_list, budget, out, threads):
     """Norm growth of the p-adic paraboloid wave packet family."""

@@ -37,11 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InvalidInputError
 from .meanvalue import _transform_power_sum
 from .padic import HenselRoot, ScaleSpec, hensel_sqrt_minus_one
-
-DEFAULT_TERM_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def single_norm(fam: CounterexampleFamily) -> float:
     return float(fam.N) ** (6.0 / fam.r)
 
 
-def sum_norm(fam: CounterexampleFamily, budget: int = DEFAULT_TERM_BUDGET) -> float:
+def sum_norm(fam: CounterexampleFamily, budget: int = DEFAULT_BUDGET) -> float:
     """|| sum_n f_n ||_r via the exact residue-sum reduction (module docs)."""
     N = fam.N
     M = N * N
@@ -99,7 +97,7 @@ def verify_paraboloid_membership(fam: CounterexampleFamily) -> bool:
 
 
 def growth_table(
-    p: int, k_values, r: float, budget: int = DEFAULT_TERM_BUDGET
+    p: int, k_values, r: float, budget: int = DEFAULT_BUDGET
 ) -> list[dict]:
     """Norm and ratio rows for a range of scales at fixed p and r."""
     rows = []

@@ -70,20 +70,21 @@ def write_csv(
 def load_coefficients_csv(path) -> CoefficientVector:
     """Read a coefficient vector: rows (index tuple dash-joined, real, imag).
 
-    '#' comment lines are ignored anywhere; a non-numeric first data row is
-    treated as a header.
+    '#' comment lines are ignored anywhere; the first other row is a header
+    when its index cell is not dash-joined integers.
     """
     points = []
     values = []
-    seen_data = False
+    first = True
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if not seen_data and not _looks_numeric(row[1:]):
-                continue  # header row
-            seen_data = True
+            if first:
+                first = False
+                if not _is_index(row[0]):
+                    continue  # header row
             if len(row) != 3:
                 raise InvalidInputError(
                     f"{path}:{lineno}: expected 3 columns, got {len(row)}"
@@ -101,10 +102,11 @@ def load_coefficients_csv(path) -> CoefficientVector:
     return CoefficientVector(domain, np.asarray(values, dtype=np.complex128))
 
 
-def _looks_numeric(cells: Sequence[str]) -> bool:
+def _is_index(cell: str) -> bool:
+    """Whether cell is dash-joined integers, the index of a coefficient row."""
     try:
-        for cell in cells:
-            float(cell)
+        for part in cell.split("-"):
+            int(part)
         return True
     except ValueError:
         return False

@@ -16,10 +16,8 @@ from functools import lru_cache, partial
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InvalidInputError
 from .padic import ScaleSpec
-
-DEFAULT_CELL_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,6 @@ class LocalizationVector:
                     f"sigma_{j + 1}*K = {s * scale.K} is not an integer"
                 )
         return self
-
-    @classmethod
-    def zeros(cls, k: int) -> "LocalizationVector":
-        return cls(tuple(Fraction(0) for _ in range(k)))
 
 
 @dataclass(frozen=True)
@@ -129,7 +123,7 @@ def _check_budget(domain: SparseDomain, budget: int) -> None:
 
 
 def enumerate_cells(
-    domain: SparseDomain, budget: int = DEFAULT_CELL_BUDGET
+    domain: SparseDomain, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """Yield (iota, center, halfwidths) in lexicographic iota order."""
     _check_budget(domain, budget)
@@ -157,7 +151,7 @@ def _axis_block(count: int, start: int) -> list[tuple[str, str]]:
     ]
 
 
-def emit_cell_csv(domain: SparseDomain, path, budget: int = DEFAULT_CELL_BUDGET) -> int:
+def emit_cell_csv(domain: SparseDomain, path, budget: int = DEFAULT_BUDGET) -> int:
     """Write one row per cell in lexicographic iota order; returns the row count.
 
     The rows are what csv.writer writes for (iota..., center..., halfwidth...)

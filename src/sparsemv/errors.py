@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types and the default enumeration budget shared across the package."""
+
+#: The default of every ``budget`` parameter and ``--budget`` option.
+DEFAULT_BUDGET = 10**8
 
 
 class InvalidInputError(ValueError):

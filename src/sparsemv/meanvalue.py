@@ -68,14 +68,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .domains import (
-    DEFAULT_CELL_BUDGET,
     LocalizationVector,
     SparseDomain,
     _check_budget,
     _scale_power,
     build_domain,
 )
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InvalidInputError
 from . import exact
 from .exact import (
     _column_sums,
@@ -218,7 +217,6 @@ class RestrictionEstimate:
 
     value: float
     best_sampler: str
-    best_draw: int
     rows: tuple[SamplerRow, ...]
 
 
@@ -766,7 +764,7 @@ def padic_short_mv(
     scale: ScaleSpec,
     sigma: LocalizationVector,
     *,
-    budget: int = DEFAULT_CELL_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[MeanValueReport]:
     """The p-adic short mean value of each vector as an exact finite sum
@@ -796,7 +794,7 @@ def real_sparse_mv(
     sigma: LocalizationVector,
     quad: QuadratureConfig | None = None,
     *,
-    budget: int = DEFAULT_CELL_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[MeanValueReport]:
     """Real mean value of each vector over the sparse domain (see module docs
@@ -885,7 +883,7 @@ def transfer_check(
     quad: QuadratureConfig | None = None,
     tol: float = 1e-6,
     *,
-    budget: int = DEFAULT_CELL_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> list[TransferReport]:
     """Per-coefficient transference: real value <= sup of modulated p-adic
@@ -967,7 +965,7 @@ def estimate_restriction_constant(
     draws: int = 4,
     seed: int = 0,
     *,
-    budget: int = DEFAULT_CELL_BUDGET,
+    budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> RestrictionEstimate:
     """Max of value(a) / sum |a_n|^r over sampled coefficient vectors.
@@ -993,14 +991,12 @@ def estimate_restriction_constant(
         reports = real_sparse_mv(system, vectors, r, scale, sigma,
                                  budget=budget, threads=threads)
     rows = []
-    best = (-math.inf, "", -1)
+    best = (-math.inf, "")
     for (sampler, draw), coeffs, report in zip(labels, vectors, reports):
         denom = coeffs.ell_r(r)
         ratio = report.value / denom
         rows.append(SamplerRow(sampler, draw, seed, report.value, denom, ratio,
                                report.quadrature_error_bound))
         if ratio > best[0]:
-            best = (ratio, sampler, draw)
-    return RestrictionEstimate(
-        value=best[0], best_sampler=best[1], best_draw=best[2], rows=tuple(rows)
-    )
+            best = (ratio, sampler)
+    return RestrictionEstimate(value=best[0], best_sampler=best[1], rows=tuple(rows))

@@ -18,8 +18,6 @@ from typing import Iterator, Sequence
 
 from .errors import InvalidInputError
 
-Rational = Fraction
-
 
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n != 0, from its factorisation by trial
@@ -194,9 +192,6 @@ class PhaseComponent:
     degree: int
     terms: tuple[MonomialTerm, ...]
     scale: Fraction
-
-    def coefficient_map(self) -> dict[tuple[int, ...], int]:
-        return {t.exponents: t.coefficient for t in self.terms}
 
     def evaluate(self, point: Sequence[int]) -> int:
         total = 0

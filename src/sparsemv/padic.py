@@ -68,10 +68,6 @@ class HenselRoot:
         if (self.xi * self.xi + 1) % self.p**self.K != 0:
             raise InvalidInputError("xi*xi + 1 is not divisible by p**K")
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.K
-
     def digits(self) -> list[int]:
         """Base-p digits b_0..b_{K-1} of xi."""
         out = []

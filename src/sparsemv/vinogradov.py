@@ -27,12 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InvalidInputError
 from .exact import _WORD_LIMIT, convolution_counts
 from .numberfield import MinimalPolynomial, field_multiply
-
-DEFAULT_KEY_BUDGET = 10**8
-DEFAULT_PAIR_BUDGET = 10**8
 
 #: What one convolution pass costs beyond its pairs, in pair terms: on one
 #: core of a 2-core x86_64 machine (numpy 2.4) a pass over a one-key
@@ -156,7 +153,7 @@ def count_solutions(
     N: int,
     *,
     transcendental: bool = False,
-    budget: int = DEFAULT_KEY_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SolutionCountRecord:
     """J = sum over keys h of H^{*s}(h)^2, H the single-element key histogram.
 
@@ -197,7 +194,7 @@ def count_solutions_brute(
     N: int,
     *,
     transcendental: bool = False,
-    budget: int = DEFAULT_PAIR_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> SolutionCountRecord:
     """Oracle: enumerate all pairs of s-tuples and compare their power sums.
 
@@ -247,7 +244,6 @@ class GrowthFit:
     """Least-squares slope of log J against log N, with the per-point table."""
 
     slope: float
-    intercept: float
     points: tuple[tuple[int, int, float, float], ...]  # (N, J, logN, logJ)
     residuals: tuple[float, ...]
     envelope_exponent: float
@@ -259,8 +255,7 @@ def fit_growth(
     k: int,
     N_values: Sequence[int],
     *,
-    transcendental: bool = False,
-    budget: int = DEFAULT_KEY_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> GrowthFit:
     """Fit the growth exponent of J over an increasing list of scales.
 
@@ -274,9 +269,7 @@ def fit_growth(
     d = minpoly.degree
     points = []
     for N in N_values:
-        rec = count_solutions(
-            minpoly, s, k, N, transcendental=transcendental, budget=budget
-        )
+        rec = count_solutions(minpoly, s, k, N, budget=budget)
         points.append((N, rec.J, math.log(N), math.log(rec.J)))
     x = np.array([p[2] for p in points])
     y = np.array([p[3] for p in points])
@@ -285,7 +278,6 @@ def fit_growth(
     envelope = float(max(d * s, 2 * d * s - d * k * (k + 1) / 2))
     return GrowthFit(
         slope=float(slope),
-        intercept=float(intercept),
         points=tuple(points),
         residuals=residuals,
         envelope_exponent=envelope,

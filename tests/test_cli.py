@@ -874,3 +874,52 @@ def test_fuzzed_arguments_exit_with_a_code_and_at_most_one_line(tmp_path, argv):
     lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
     assert len(lines) <= 1, (argv, lines)
     assert (code == 0) == (not lines), (argv, lines)
+
+
+def test_index_box_over_budget_exits_3(tmp_path, capsys):
+    # 27 sampled points on one cell: the box, not the cell grid, is over
+    out_file = tmp_path / "mv.csv"
+    code, out, err = run(
+        ["mv-padic", "--p", "3", "--K", "3", "--sigma", "1,2", "--r", "4",
+         "--budget", "10", "--out", str(out_file)],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: index box has 27 points, exceeding budget 10\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["corollary-ratio", "--p", "3", "--K-list", "40", "--sigma", "1", "--r", "4"],
+    ["restriction-estimate", "--p", "3", "--K", "40", "--sigma", "0,0", "--r", "4"],
+])
+def test_index_box_is_checked_before_it_is_built(args, tmp_path, capsys,
+                                                 monkeypatch):
+    # 3^40 points would not fit in memory: the check must come first
+    box = IndexDomain.box.__func__
+
+    def checked(cls, N, d):
+        if N**d > 10**8:
+            pytest.fail(f"built a box of {N}^{d} points")
+        return box(cls, N, d)
+
+    monkeypatch.setattr(IndexDomain, "box", classmethod(checked))
+    code, out, err = run(args + ["--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+
+def test_coefficient_file_builds_no_index_box(tmp_path, capsys, monkeypatch):
+    def refuse(cls, N, d):
+        pytest.fail("built an index box for a coefficients file")
+
+    monkeypatch.setattr(IndexDomain, "box", classmethod(refuse))
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("index,real,imag\n0,1.0,0.0\n1,1.0,0.0\n2,1.0,0.0\n")
+    code, out, err = run(
+        ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0", "--r", "4",
+         "--coeffs-file", str(coeffs), "--out", str(tmp_path / "mv.csv")],
+        capsys,
+    )
+    assert code == 0, err
+    assert out.startswith("mv-padic: value=")

@@ -81,3 +81,7 @@ def test_load_coefficients_errors(tmp_path):
     path.write_text("0,one,0.0\n")
     with pytest.raises(InvalidInputError):
         load_coefficients_csv(path)
+    # a first row whose index is integers is data, not a header
+    path.write_text("0,one,0.0\n1,1.0,0.0\n")
+    with pytest.raises(InvalidInputError):
+        load_coefficients_csv(path)

@@ -8,14 +8,21 @@ comments and tests do not count, so a function that only tests call fails.
 click's decorators) define nothing checked here.  Every name in the package's
 ``__all__`` is imported by a demo, the benchmark harness or a test.  Every
 private top-level function, class and assigned constant is read in the
-library itself, outside its own definition.
+library itself, outside its own definition.  Every public method, property
+and annotated field of a class is read as an attribute in the library, a
+demo or the benchmark harness.  Every ``budget`` default is the one
+``errors.DEFAULT_BUDGET``.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
+
+from sparsemv import cli, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sparsemv"
@@ -105,3 +112,66 @@ def test_every_private_definition_is_read_in_the_library():
     unread = [f"{path.stem}.{name}" for path, name, node in definitions
               if uses[name] == _name_uses(node)[name]]
     assert unread == []
+
+
+def _attribute_reads(tree) -> Counter:
+    """How often each name is read as an ast.Attribute in tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def _class_members(trees):
+    """(path, class name, member name, node) for every public method,
+    property and classmethod, and every annotated field, of a class outside
+    cli.py (whose classes override click's methods)."""
+    for path, tree in trees.items():
+        if path.name == "cli.py":
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield path, cls.name, name, node
+
+
+def test_every_public_class_member_is_read():
+    # matched by name: a member read only under another class's name (as
+    # np.zeros would hide a zeros classmethod) passes unnoticed
+    library = _trees(sorted(PACKAGE.glob("*.py")))
+    users = list(library.values())
+    users += _trees(sorted((ROOT / "demos").glob("*.py"))).values()
+    users += _trees(sorted((ROOT / "perfbench").glob("*.py"))).values()
+    reads = sum(map(_attribute_reads, users), Counter())
+    members = list(_class_members(library))
+    assert len(members) > 60  # the walk found the classes
+    unread = [f"{path.stem}.{cls}.{name}" for path, cls, name, node in members
+              if reads[name] == _attribute_reads(node)[name]]
+    assert unread == []
+
+
+def test_every_budget_defaults_to_the_one_constant():
+    # identity, not equality: a literal copy of the value fails
+    options = {f"--budget of {name}": param.default
+               for name, command in cli.cli.commands.items()
+               for param in command.params if param.name == "budget"}
+    assert len(options) == 9  # every command that takes --budget
+    parameters = {}
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"sparsemv.{path.stem}")
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")):
+                budget = inspect.signature(fn).parameters.get("budget")
+                if budget is not None:
+                    parameters[f"{module.__name__}.{name}"] = budget.default
+    assert len(parameters) > 10  # the walk found the library
+    defaults = {**options, **parameters}
+    assert [name for name, default in defaults.items()
+            if default is not errors.DEFAULT_BUDGET] == []
