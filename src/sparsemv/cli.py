@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid input, 2 a verification command reported a
-failing pass flag, 3 an enumeration budget was exceeded.  Every CSV starts
+failing pass flag, 3 an enumeration budget was exceeded or memory ran out at
+any stage (:func:`main` maps every ``MemoryError``).  Every CSV starts
 with a '#' comment recording the resolved configuration; identical
 configuration and seed give byte-identical output regardless of --threads.
 """
@@ -644,6 +645,11 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceededError as exc:
         _echo(f"budget exceeded: {exc}", err=True)
+        return 3
+    except MemoryError as exc:
+        # numpy's text names the size and shape of the allocation that failed
+        detail = f": {exc}" if str(exc) else ""
+        _echo(f"budget exceeded: out of memory{detail}", err=True)
         return 3
     except InvalidInputError as exc:
         _echo(f"invalid input: {exc}", err=True)

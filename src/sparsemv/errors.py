@@ -15,10 +15,11 @@ class UnsupportedPrimeError(InvalidInputError):
 class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would exceed the configured budget.
 
-    ``budget`` is None when the limit was the memory the machine could give.
+    Running out of memory is not one: the library lets ``MemoryError``
+    through, and the CLI maps it to the same exit code.
     """
 
-    def __init__(self, message: str, requested: int, budget: int | None = None):
+    def __init__(self, message: str, requested: int, budget: int):
         super().__init__(message)
         self.requested = requested
         self.budget = budget

@@ -136,7 +136,10 @@ class IndexDomain:
         pts = [()]
         for _ in range(d):
             pts = [p + (i,) for p in pts for i in range(N)]
-        return cls(points=tuple(pts))
+        # distinct points of one width by construction: no __post_init__ scan
+        box = object.__new__(cls)
+        object.__setattr__(box, "points", tuple(pts))
+        return box
 
 
 class CoefficientVector:
@@ -346,39 +349,22 @@ def _transform_power_sum(
     """
     cells = math.prod(shape)
     block = min(exact._BLOCK_BYTES // 64, cells)
-    plan = None
-    try:
-        plan = _transform_passes(shape, index)
-        S = np.ravel(_inverse_transform(shape, index, values, plan), order="K")
+    plan = _transform_passes(shape, index)
+    S = np.ravel(_inverse_transform(shape, index, values, plan), order="K")
 
-        def terms(bounds: tuple[int, int], buf) -> tuple[np.ndarray, np.ndarray]:
-            lo, hi = bounds
-            x, scratch = buf[0][:hi - lo], buf[1][:hi - lo]
-            np.square(S[lo:hi].real, out=x)
-            x += np.square(S[lo:hi].imag, out=scratch)
-            return exact._power_into(x, r, x, scratch), scratch
+    def terms(bounds: tuple[int, int], buf) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = bounds
+        x, scratch = buf[0][:hi - lo], buf[1][:hi - lo]
+        np.square(S[lo:hi].real, out=x)
+        x += np.square(S[lo:hi].imag, out=scratch)
+        return exact._power_into(x, r, x, scratch), scratch
 
-        # two arrays, not one of twice the size: on a grid of 15625 cells
-        # glibc's malloc mapped that one afresh on every call (counterexample
-        # p = 5 took 414 minor faults per run against 180)
-        blocks = [(lo, min(lo + block, cells)) for lo in range(0, cells, block)]
-        return exact._blocked_sums(blocks, terms, lambda: (np.empty(block), np.empty(block)),
-                                   threads)
-    except MemoryError:
-        # S, and the larger of the cells that the last (largest) pruned pass
-        # gathers and the reduction's work space: two blocks of floats per
-        # worker and one more in a full extraction
-        gathered = 0
-        if plan is not None:
-            order, keeps = plan
-            gathered = math.prod(shape[j] for j in order[:len(keeps)]) * len(keeps[-1])
-        work = 24 * block * min(threads, -(-cells // block))
-        needed = 16 * cells + max(16 * gathered, work)
-        raise BudgetExceededError(
-            f"grid transform over {cells} cells needs about {needed} "
-            "bytes, more than the machine could allocate",
-            requested=needed,
-        ) from None
+    # two arrays, not one of twice the size: on a grid of 15625 cells
+    # glibc's malloc mapped that one afresh on every call (counterexample
+    # p = 5 took 414 minor faults per run against 180)
+    blocks = [(lo, min(lo + block, cells)) for lo in range(0, cells, block)]
+    return exact._blocked_sums(blocks, terms, lambda: (np.empty(block), np.empty(block)),
+                               threads)
 
 
 class _GridSum:
@@ -396,9 +382,9 @@ class _GridSum:
     with a single zero offset that path is the reference the transform is
     tested against.
 
-    The grid holds what no coefficient changes: phases, residues and root
-    tables.  Sums run on a :meth:`view`, which adds one
-    vector's coefficients as ``base`` and shares the rest.
+    The grid holds what no coefficient changes: phases and residues.  Sums
+    run on a :meth:`view`, which adds one vector's coefficients as ``base``
+    and shares the rest.
     """
 
     def __init__(self, phase_vals: list[list[int]], moduli: Sequence[int],
@@ -414,7 +400,6 @@ class _GridSum:
             np.array([v % m for v in vals], dtype=np.intp)
             for vals, m in zip(phase_vals, self.moduli)
         )
-        self._roots = tuple(root_table(m) for m in self.moduli)
         self.base = None
 
     def view(self, coeffs: CoefficientVector) -> "_GridSum":
@@ -427,10 +412,11 @@ class _GridSum:
         """U_j[i, n] = e(i P_j(n) / M_j) for every axis j and i < M_j.
 
         Only the GEMM path reads them; each of its calls builds them once,
-        sum_j M_j x points entries against its T x V x points products.
+        from root_table(M_j), sum_j M_j x points entries against its
+        T x V x points products.
         """
-        return [roots[np.multiply.outer(np.arange(len(roots)), res) % len(roots)]
-                for res, roots in zip(self._residues, self._roots)]
+        return [root_table(m)[np.multiply.outer(np.arange(m), res) % m]
+                for res, m in zip(self._residues, self.moduli)]
 
     def _block_buffers(self, rows: int, offsets: int) -> tuple[np.ndarray, ...]:
         """Work space for row blocks of up to ``rows`` cells, in one
@@ -523,19 +509,9 @@ class _GridSum:
             return (self._power_block(lo, hi, r, offset_factors, buf, tables),
                     buf[3][:hi - lo])
 
-        try:
-            sums = exact._blocked_sums(bounds, terms,
-                                       lambda: self._block_buffers(rows, offsets),
-                                       self.threads)
-        except MemoryError:
-            workers = min(self.threads, len(bounds))
-            needed = workers * rows * (16 * len(self.base) + 32 * offsets)
-            raise BudgetExceededError(
-                f"offset grid blocks of {rows} cells x {offsets} offsets take "
-                f"{needed} bytes of buffers on {workers} workers, more than the "
-                "machine could allocate with the pass's other arrays",
-                requested=needed) from None
-        return sums
+        return exact._blocked_sums(bounds, terms,
+                                   lambda: self._block_buffers(rows, offsets),
+                                   self.threads)
 
     def _convolution_plan(self, s: int | None, columns: int,
                           fixed: int) -> "_Convolution | None":
@@ -711,8 +687,8 @@ def _convolved_value(view: _GridSum, plan: _Convolution, normalise) -> tuple[flo
     return normalise(total), 2 * _gamma(2 * chain + 6) * normalise(check)
 
 
-def _offset_free_reports(grid: _GridSum, vectors, r: float, s: int | None,
-                         kind: str, normalise) -> list[MeanValueReport]:
+def _offset_free_reports(grid: _GridSum, vectors, r: float, kind: str,
+                         normalise) -> list[MeanValueReport]:
     """One report per vector on a grid without offsets, the first of three
     methods that applies: the exact count ("<kind>-count", error bound 0)
     where :func:`_even_count` applies; for even r the convolution of complex
@@ -742,6 +718,7 @@ def _offset_free_reports(grid: _GridSum, vectors, r: float, s: int | None,
     The gate lost on none of its 49 grids; the offset rule 4 W <= T alone
     would take all 94 and lose on 33 to 38 of them, by up to 5.3 times.
     """
+    s = _half_even(r)
     reports = []
     for coeffs in vectors:
         view = grid.view(coeffs)
@@ -782,7 +759,7 @@ def padic_short_mv(
     vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)
     grid = _GridSum(phase_vals, domain.cell_counts, threads)
     prefactor = 1 / grid.total  # N^(sum(sigma_j - deg_j)), correctly rounded
-    return _offset_free_reports(grid, vectors, r, _half_even(r), "padic",
+    return _offset_free_reports(grid, vectors, r, "padic",
                                 lambda total: prefactor * total)
 
 
@@ -817,10 +794,10 @@ def real_sparse_mv(
     if moduli and math.prod(moduli) <= NODE_BUDGET:
         grid = _GridSum(phase_vals, moduli, threads)
         # L_j exceeds the support of G per axis: the cyclic count is acyclic
-        return _offset_free_reports(grid, vectors, r, half, "real",
+        return _offset_free_reports(grid, vectors, r, "real",
                                     lambda total: total / grid.total)
     grid = _GridSum(phase_vals, domain.cell_counts, threads)
-    levels, _ = _real_gauss(grid, vectors, r, scale, sigma, domain, quad)
+    levels, _ = _real_gauss(grid, vectors, r, domain, quad)
     return [MeanValueReport(value, "real-gauss", err) for value, err, _ in levels]
 
 
@@ -828,8 +805,6 @@ def _real_gauss(
     grid: _GridSum,
     vectors: list[CoefficientVector],
     r: float,
-    scale: ScaleSpec,
-    sigma: LocalizationVector,
     domain: SparseDomain,
     quad: QuadratureConfig,
 ) -> tuple[list[tuple[float, float, float]], int]:
@@ -867,7 +842,7 @@ def _real_gauss(
             values.append(_column_sums(weights * sums))
             tops.append(sums.max())
         levels.append(values)
-    prefactor = float(_scale_power(scale, Fraction(sum(sigma.sigma))))
+    prefactor = float(_scale_power(domain.scale, Fraction(sum(domain.sigma.sigma))))
     coarse, fine = ([prefactor * v for v in values] for values in levels)
     samples = grid.total * len(offsets)
     return [(f, abs(f - c) + _rounding_estimate(f, samples), top)
@@ -899,7 +874,7 @@ def transfer_check(
     quad = quad or QuadratureConfig()
     vectors, domain, phase_vals = _prepare(system, vectors, r, scale, sigma, budget)
     grid = _GridSum(phase_vals, domain.cell_counts, threads)
-    levels, grid_size = _real_gauss(grid, vectors, r, scale, sigma, domain, quad)
+    levels, grid_size = _real_gauss(grid, vectors, r, domain, quad)
     prefactor = 1 / grid.total  # N^(sum(sigma_j - deg_j)), correctly rounded
     reports = []
     for real_value, qerr, top in levels:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsemv import cli, exact
+from sparsemv import cli, exact, meanvalue, vinogradov
 from sparsemv.cli import main, parse_rational_list
 from sparsemv.errors import InvalidInputError
 from sparsemv.meanvalue import SAMPLER_NAMES, IndexDomain
@@ -193,7 +193,7 @@ def test_out_of_memory_in_grid_transform_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert "27 cells" in lines[0] and "bytes" in lines[0]
+    assert lines == ["budget exceeded: out of memory"]
 
 
 def test_out_of_memory_in_pruned_transform_exits_3(tmp_path, capsys, monkeypatch):
@@ -211,9 +211,7 @@ def test_out_of_memory_in_pruned_transform_exits_3(tmp_path, capsys, monkeypatch
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    # S, and the reduction's work space of one worker: blocks of 65536 cells
-    needed = 16 * 262144 + 24 * 65536
-    assert "262144 cells" in lines[0] and f"{needed} bytes" in lines[0]
+    assert lines == ["budget exceeded: out of memory"]
 
 
 def test_out_of_memory_in_counterexample_transform_exits_3(tmp_path, capsys,
@@ -231,7 +229,7 @@ def test_out_of_memory_in_counterexample_transform_exits_3(tmp_path, capsys,
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert "25 cells" in lines[0] and "bytes" in lines[0]
+    assert lines == ["budget exceeded: out of memory"]
 
 
 def test_out_of_memory_in_offset_gemm_exits_3(tmp_path, capsys, monkeypatch):
@@ -248,7 +246,35 @@ def test_out_of_memory_in_offset_gemm_exits_3(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert "offset grid block" in lines[0] and "bytes" in lines[0]
+    assert lines == ["budget exceeded: out of memory"]
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    # the count: all-ones coefficients at an even r
+    (exact, "_sort_reduce", ["mv-padic", "--p", "3", "--K", "1", "--sigma", "0,0",
+                             "--r", "4"]),
+    # the convolution engine: per-offset sums on few residues
+    (exact, "_sort_reduce", ["transfer-check", "--k", "3", "--p", "3", "--K", "1",
+                             "--sigma", "0,0,1", "--r", "4", "--vectors", "1"]),
+    (vinogradov, "_key_columns", ["vinogradov", "--minpoly", "0", "--s", "2",
+                                  "--k", "2", "--N", "5"]),
+    # the Gauss offsets
+    (meanvalue, "_offset_factors", ["mv-real", "--p", "3", "--K", "1",
+                                    "--sigma", "0,1", "--r", "3"]),
+])
+def test_out_of_memory_at_any_stage_exits_3_with_its_text(module, name, argv, tmp_path,
+                                                          capsys, monkeypatch):
+    text = ("Unable to allocate 74.5 GiB for an array with shape (1, 10000000000) "
+            "and data type int64")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    code, out, err = run(argv + ["--out", str(tmp_path / "out.csv")], capsys)
+    assert code == 3
+    assert "Traceback" not in out + err
+    assert err.strip().splitlines() == [f"budget exceeded: out of memory: {text}"]
 
 
 def test_sigma_not_integral_exit_1(capsys):

@@ -540,7 +540,7 @@ def test_tree_sum_falls_back_on_a_near_tie(monkeypatch):
     vals = np.ones(100000)
     vals[12345] = 1.0 - 2.0**-37
     assert tree_sum(vals) == math.fsum(vals) == 100000.0
-    assert calls == [100000]  # the remaining rounds ran on the remainder
+    assert calls == [100000]  # full extraction ran on a copy of the terms
     vals[12345] = 1.0 - 2.0**-36  # no tie: one round settles it
     assert tree_sum(vals) == math.fsum(vals) == 100000.0 - 2.0**-36
     assert calls == [100000]

@@ -779,8 +779,7 @@ def _gauss_at(system, coeffs, r, scale, sig):
     """(value, error) of the two-level Gauss path, whatever real_sparse_mv picks."""
     domain = build_domain(scale, sig, system.degrees)
     grid = _GridSum(meanvalue._phase_values(system, coeffs.domain), domain.cell_counts)
-    ((value, err, _),), _ = _real_gauss(grid, [coeffs], r, scale, sig, domain,
-                                        QuadratureConfig())
+    ((value, err, _),), _ = _real_gauss(grid, [coeffs], r, domain, QuadratureConfig())
     return value, err
 
 
@@ -886,8 +885,7 @@ def test_real_localized_equals_weighted_padic_average(monkeypatch):
 
     monkeypatch.setattr(meanvalue, "tensor_offsets", recording)
     grid = _GridSum(meanvalue._phase_values(PARABOLA, domain), sparse.cell_counts)
-    ((value, err, _),), _ = _real_gauss(grid, [coeffs], 4.0, scale, sig, sparse,
-                                        QuadratureConfig())
+    ((value, err, _),), _ = _real_gauss(grid, [coeffs], 4.0, sparse, QuadratureConfig())
     offsets, weights = levels[-1]  # the fine level
     P = np.array([[c.evaluate(pt) for pt in domain.points] for c in PARABOLA.components])
     # the modulated coefficients a_n e(v . P(n)), one vector per offset v
@@ -1050,6 +1048,20 @@ def test_index_domain_validation():
     assert box.points == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def test_box_is_the_checked_product_without_a_scan(monkeypatch):
+    expected = {(N, d): IndexDomain(points=tuple(product(range(N), repeat=d)))
+                for N, d in ((1, 1), (5, 1), (1, 3), (4, 2), (3, 3))}
+
+    def scan(self):
+        pytest.fail("IndexDomain.box re-checked the points it generated")
+
+    monkeypatch.setattr(IndexDomain, "__post_init__", scan)
+    for (N, d), domain in expected.items():
+        box = IndexDomain.box(N, d)
+        assert box == domain and hash(box) == hash(domain)
+        assert (len(box), box.dimension) == (N**d, d)
+
+
 def test_threads_do_not_change_values():
     scale = ScaleSpec(p=3, K=2)
     domain = IndexDomain.box(9, 1)
@@ -1155,6 +1167,31 @@ def test_point_tables_are_built_once_per_gemm_call():
         padic_short_mv(PARABOLA, vectors, 3.0, scale, _sigma(0, 1))
         padic_short_mv(PARABOLA, vectors, 4.0, scale, _sigma(0, 1))
         assert tables.call_count == 2 * len(vectors)
+
+
+def test_only_the_offset_gemm_builds_root_tables(monkeypatch):
+    def unread(modulus):
+        pytest.fail(f"root_table({modulus}) built off the GEMM path")
+
+    monkeypatch.setattr(meanvalue, "root_table", unread)
+    for p, K, sampler, r, method in ((3, 1, "all-ones", 4.0, "padic-count"),
+                                     (5, 2, "random-phase", 2.0, "padic-convolution"),
+                                     (3, 2, "random-phase", 3.0, "padic-exact")):
+        scale = ScaleSpec(p=p, K=K)
+        coeffs = sample_coefficients(sampler, IndexDomain.box(scale.N, 1), seed=11)
+        report, = padic_short_mv(PARABOLA, [coeffs], r, scale, _sigma(0, 0))
+        assert report.method == method
+
+
+def test_library_calls_let_out_of_memory_through(monkeypatch):
+    # the CLI maps it to exit 3; the library neither catches nor rewraps it
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np.fft, "ifftn", out_of_memory)
+    coeffs = sample_coefficients("random-phase", IndexDomain.box(3, 1), seed=11)
+    with pytest.raises(MemoryError):
+        padic_short_mv(PARABOLA, [coeffs], 3.0, ScaleSpec(p=3, K=1), _sigma(0, 0))
 
 
 def test_uncertified_offset_columns_rerun_with_full_extraction(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -48,3 +50,23 @@ def test_perfbench_tracer_installs_and_counts_grid_sums(tmp_path):
     assert summary["meanvalue.grid_sum.calls"] > 0
     assert summary["exact.tree_sum.calls"] > 0  # the reduction entry point
     assert summary["quadrature.tensor_offsets.nodes"] > 0
+
+
+def test_perfbench_counters_name_public_package_functions():
+    # a deleted or renamed function is not an install error: its counter
+    # would just read 0, so every counted layer.function must resolve
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = {span for *_, span in tracer.METHODS}
+    names = [name for name in [*tracer.COUNTERS, *tracer.AFTER_COUNTERS]
+             if name not in spans]
+    assert names
+    for name in names:
+        layer, attr = name.split(".")
+        assert layer in tracer.LAYERS, name
+        module = importlib.import_module(f"sparsemv.{layer}")
+        fn = getattr(module, attr, None)
+        assert not attr.startswith("_"), name
+        assert inspect.isfunction(fn) or hasattr(fn, "cache_info"), name
+        assert fn.__module__ == module.__name__, name
